@@ -55,7 +55,7 @@ class GreedySkeleton:
 
 
 def greedy_skeleton(path: SampledPath, c: float) -> GreedySkeleton:
-    if c <= 0.0:
+    if not c > 0.0:
         raise DomainError("c must be positive")
     half = 0.5 * c
     values = path.values
@@ -185,7 +185,7 @@ def linear_approx(path: SampledPath, c: float, eps_cont: float = 0.0) -> Approxi
     knot.  With the default eps_cont = 0 only exactly repeated values count
     as continuous arrivals.
     """
-    if eps_cont < 0.0:
+    if not eps_cont >= 0.0:
         raise DomainError("eps_cont must be nonnegative")
     sk = greedy_skeleton(path, c)
     segs, last, tail = _segment_layout(path, sk)
@@ -233,10 +233,10 @@ def sandwich(path: SampledPath, c: float, lambdas=(2.0,)) -> SandwichReport:
     lam * TTV(path, (lam-1) c / (2 lam)).  The gap lower < witness can be
     strict for vector-valued paths (the circle3 fixture at c = sqrt(3)).
     """
-    if c <= 0.0:
+    if not c > 0.0:
         raise DomainError("c must be positive")
     lams = tuple(float(l) for l in lambdas)
-    if not lams or any(l <= 1.0 for l in lams):
+    if not lams or not all(l > 1.0 for l in lams):
         raise DomainError("each lambda must exceed 1")
     lower = ttv(path, c)
     upper = min(l * ttv(path, (l - 1.0) * c / (2.0 * l)) for l in lams)

@@ -207,9 +207,9 @@ def _emit(report, args) -> str:
         flat = _flatten(report)
         buf.write("key,value\n")
         for k, v in flat:
-            buf.write(f"{k},{json.dumps(v)}\n")
+            buf.write(f"{k},{json.dumps(v, allow_nan=False)}\n")
         return buf.getvalue()
-    return json.dumps(report, indent=2) + "\n"
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def _flatten(obj, prefix=""):
@@ -227,8 +227,6 @@ def _flatten(obj, prefix=""):
 
 def _with_trials(args, one_trial):
     """Run one_trial per derived seed; ordering is by trial index."""
-    if args.trials < 1:
-        raise TvkitError("--trials must be at least 1")
     if args.trials == 1:
         return one_trial(None)
     base = np.random.SeedSequence(_require_seed(args))
@@ -238,7 +236,7 @@ def _with_trials(args, one_trial):
 
 def _cmd_ttv(args):
     path = _single_path(args)
-    if args.c < 0.0:
+    if not args.c >= 0.0:
         raise TvkitError("--c must be nonnegative")
     return {"op": "ttv", "c": args.c, "norm": path.norm.value,
             "value": ttv(path, args.c)}
@@ -353,6 +351,8 @@ def run(argv=None) -> int:
         # argparse exits 2 on bad flags and 0 on --help; keep its codes
         return int(exc.code or 0)
     try:
+        if args.trials < 1:
+            raise TvkitError("--trials must be at least 1")
         report = _HANDLERS[args.subcommand](args)
         text = report["__raw__"] if isinstance(report, dict) and "__raw__" in report \
             else _emit(report, args)

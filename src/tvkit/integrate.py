@@ -278,7 +278,7 @@ def rs_integral(f, g, tol: float = 1e-9, max_levels: int | None = None,
     (default 24).  Sampled inputs must not share jump times; failure to reach
     the tolerance raises rather than returning a silent value.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError("tol must be positive")
     if tag_rule not in ("left", "mid", "right"):
         raise DomainError("tag_rule must be left, mid, or right")
@@ -382,7 +382,7 @@ class SequencePair:
         for name, arr in (("eta", ev), ("theta", tv)):
             if arr.size == 0:
                 raise DomainError(f"{name} must be non-empty")
-            if np.any(arr < 0.0):
+            if not np.all(arr >= 0.0):
                 raise DomainError(f"{name} must be nonnegative")
             if np.any(np.diff(arr) > 0.0):
                 raise DomainError(f"{name} must be nonincreasing")
@@ -391,7 +391,7 @@ class SequencePair:
     @classmethod
     def closed_form(cls, p: float, q: float, beta: float, gamma: float) -> "SequencePair":
         _check_exponents(p, q)
-        if beta <= 0.0 or gamma <= 0.0:
+        if not (beta > 0.0 and gamma > 0.0):
             raise DomainError("beta and gamma must be positive")
         return cls(mode="closed-form", p=float(p), q=float(q),
                    beta=float(beta), gamma=float(gamma))
@@ -499,7 +499,7 @@ def young_bound_S(f, g, seqs: SequencePair, tail_tol: float = 1e-9) -> float:
     the full series.  Sequences whose tail cannot be certified (exhausted
     explicit lists, or terms growing persistently) raise.
     """
-    if tail_tol <= 0.0:
+    if not tail_tol > 0.0:
         raise DomainError("tail_tol must be positive")
     if seqs.mode == "zero":
         return 0.0
@@ -558,7 +558,7 @@ def partition_deviation_bound(f, g, partition, tags, deltas, epsilons) -> float:
     if ds.shape != es.shape or ds.ndim != 1 or ds.size == 0:
         raise DomainError("deltas and epsilons must be equal-length non-empty lists")
     for name, arr in (("deltas", ds), ("epsilons", es)):
-        if np.any(arr <= 0.0):
+        if not np.all(arr > 0.0):
             raise DomainError(f"{name} must be positive")
         if np.any(np.diff(arr) > 0.0):
             raise DomainError(f"{name} must be nonincreasing")
@@ -590,7 +590,7 @@ def _sum_double_exp_series(const: float, coef: float, r: float, tol: float) -> f
     tol * partial.  Growth persisting past the analytic turnover or hitting
     the term cap raises (divergence is never reported as a huge number).
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError("tol must be positive")
     turnover = 0.0
     if coef * (r - 1.0) < 1.0:

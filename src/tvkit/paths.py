@@ -40,9 +40,6 @@ __all__ = [
 
 FIXTURE_NAMES = ("circle3", "stepSplit", "logSeq")
 
-_SPECTRAL_RTOL = 1e-12
-_SPECTRAL_MAX_ITER = 20_000
-
 
 class NormKind(str, Enum):
     """Vector norm choice; also fixes the induced operator norm."""
@@ -63,8 +60,9 @@ class NormKind(str, Enum):
             raise DomainError(f"unknown norm {name!r}; expected euclidean|sup|l1") from None
 
 
-def vector_norm(vecs: np.ndarray, kind: NormKind) -> np.ndarray:
-    """Norm of vectors along the last axis."""
+def vector_norm(vecs: np.ndarray, kind: NormKind | str) -> np.ndarray:
+    """Norm of vectors along the last axis; ``kind`` is a NormKind or its name."""
+    kind = NormKind.parse(kind)
     v = np.asarray(vecs, dtype=float)
     if kind is NormKind.euclidean:
         return np.sqrt(np.sum(v * v, axis=-1))
@@ -73,46 +71,18 @@ def vector_norm(vecs: np.ndarray, kind: NormKind) -> np.ndarray:
     return np.sum(np.abs(v), axis=-1)
 
 
-def _spectral_norms(mats: np.ndarray) -> np.ndarray:
-    """Largest singular values of a batch of square matrices.
-
-    Power iteration on M^T M; the Rayleigh quotient converges in value even
-    when the top singular value is degenerate.  Iterates until the estimate
-    is stable to 1e-12 relative.
-    """
-    m = np.asarray(mats, dtype=float)
-    batch = m.shape[:-2]
-    d = m.shape[-1]
-    if d == 1:
-        return np.abs(m[..., 0, 0])
-    b = np.einsum("...ji,...jk->...ik", m, m)  # M^T M, PSD
-    # deterministic start with unequal components so no eigenspace is missed
-    x = np.broadcast_to(1.0 / np.arange(1, d + 1), batch + (d,)).copy()
-    x /= np.linalg.norm(x, axis=-1, keepdims=True)
-    est = np.zeros(batch)
-    for _ in range(_SPECTRAL_MAX_ITER):
-        y = np.einsum("...ik,...k->...i", b, x)
-        lam = np.einsum("...i,...i->...", x, y)
-        new = np.sqrt(np.maximum(lam, 0.0))
-        ynorm = np.linalg.norm(y, axis=-1, keepdims=True)
-        done = np.abs(new - est) <= _SPECTRAL_RTOL * np.maximum(new, 1e-300)
-        est = new
-        if np.all(done):
-            break
-        safe = np.where(ynorm > 0.0, ynorm, 1.0)
-        x = np.where(ynorm > 0.0, y / safe, x)
-    return est
-
-
-def operator_norm(mats: np.ndarray, kind: NormKind) -> np.ndarray:
+def operator_norm(mats: np.ndarray, kind: NormKind | str) -> np.ndarray:
     """Operator norm (induced by ``kind``) along the last two axes.
 
-    euclidean -> spectral norm, sup -> max absolute row sum,
-    l1 -> max absolute column sum.
+    euclidean -> spectral norm (largest singular value, from LAPACK's SVD),
+    sup -> max absolute row sum, l1 -> max absolute column sum.
     """
+    kind = NormKind.parse(kind)
     m = np.asarray(mats, dtype=float)
     if kind is NormKind.euclidean:
-        return _spectral_norms(m)
+        if m.shape[-1] == 1:
+            return np.abs(m[..., 0, 0])
+        return np.linalg.norm(m, ord=2, axis=(-2, -1))
     if kind is NormKind.supremum:
         return np.max(np.sum(np.abs(m), axis=-1), axis=-1)
     return np.max(np.sum(np.abs(m), axis=-2), axis=-1)

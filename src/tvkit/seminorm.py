@@ -13,6 +13,7 @@ variation).  Each inner supremum is attained at delta = x (p-1)/p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ __all__ = [
 
 def c_p_const(p: float) -> float:
     """(p-1)^(p-1) / p^p, the sharp constant of the single-jump supremum."""
-    if p < 1.0:
-        raise DomainError("p must be at least 1")
+    if not 1.0 <= p < math.inf:
+        raise DomainError("p must be finite and at least 1")
     if p == 1.0:
         return 1.0
     return (p - 1.0) ** (p - 1.0) / p ** p
@@ -41,7 +42,7 @@ def c_p_const(p: float) -> float:
 
 def sup_delta_single(x: float, p: float) -> float:
     """sup over delta > 0 of delta^(p-1) (x - delta)_+, in closed form."""
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError("x must be nonnegative")
     return c_p_const(p) * x ** p
 
@@ -57,7 +58,7 @@ def fixed_partition_seminorm(increments, p: float) -> float:
     xs = np.sort(np.asarray(increments, dtype=float).ravel())
     if xs.size == 0:
         return 0.0
-    if np.any(xs < 0.0):
+    if not np.all(xs >= 0.0):
         raise DomainError("increments must be nonnegative")
     tail_sums = np.cumsum(xs[::-1])[::-1]        # sum_{i>=j} x*_i for j = 1..n
     counts = np.arange(xs.size, 0, -1, dtype=float)
@@ -81,8 +82,8 @@ def p_tv_seminorm(path, p: float) -> SeminormReport:
     threshold delta* = M_k (p-1)/(k p) are reported.  A path with no nonzero
     increment has value 0 and no maximiser.
     """
-    if p < 1.0:
-        raise DomainError("p must be at least 1")
+    if not 1.0 <= p < math.inf:
+        raise DomainError("p must be finite and at least 1")
     prof = ttv_profile(path)
     if prof.K == 0 or prof.total_variation == 0.0:
         return SeminormReport(value=0.0, p=float(p))

@@ -11,6 +11,7 @@ once.  A 2^n enumeration oracle is provided for tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,7 +56,7 @@ class TtvProfile:
 
     def ttv(self, c: float) -> float:
         """Truncated variation at threshold c, read off the profile."""
-        if c < 0.0:
+        if not c >= 0.0:
             raise DomainError("threshold c must be nonnegative")
         if self.K == 0:
             return 0.0
@@ -126,7 +127,7 @@ def subsequence_sup_brute(path, weight: Callable[[float], float]) -> float:
 
 def ttv_brute(path, c: float) -> float:
     """2^n enumeration of the truncated variation; tests only."""
-    if c < 0.0:
+    if not c >= 0.0:
         raise DomainError("threshold c must be nonnegative")
     return subsequence_sup_brute(path, lambda d: max(d - c, 0.0))
 
@@ -145,8 +146,8 @@ def p_variation(path, p: float) -> float:
 
     Returns the p-th power sum itself, not its 1/p root.
     """
-    if p < 1.0:
-        raise DomainError("p must be at least 1")
+    if not 1.0 <= p < math.inf:
+        raise DomainError("p must be finite and at least 1")
     if path.n < 2:
         return 0.0
     return _subsequence_dp(path.distance_matrix() ** p)
@@ -197,7 +198,7 @@ class PhiSpec:
 def phi_value(phi: PhiSpec, x) -> np.ndarray | float:
     """Evaluate a variation weight; the x = 0 value is the continuous limit 0."""
     xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0):
+    if not np.all(xs >= 0.0):
         raise DomainError("phi is defined on nonnegative arguments")
     if phi.func is not None:
         out = np.asarray(phi.func(xs), dtype=float)

@@ -164,3 +164,15 @@ def test_sandwich_validation():
         sandwich(path, 1.0, (1.0,))
     with pytest.raises(DomainError):
         sandwich(path, 1.0, ())
+
+
+def test_nan_budget_rejected():
+    path = gen_fixture("stepSplit")
+    with pytest.raises(DomainError):
+        greedy_skeleton(path, float("nan"))
+    with pytest.raises(DomainError):
+        sandwich(path, float("nan"))
+    with pytest.raises(DomainError):
+        sandwich(path, 0.5, lambdas=(float("nan"),))
+    with pytest.raises(DomainError):
+        linear_approx(path, 0.5, eps_cont=float("nan"))

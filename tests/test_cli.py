@@ -85,6 +85,30 @@ def test_validation_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("ttv", "--fixture", "stepSplit", "--c", "nan"),
+    ("pvar", "--fixture", "stepSplit", "--p", "nan"),
+    ("seminorm", "--fixture", "stepSplit", "--p", "nan"),
+    ("seminorm", "--fixture", "stepSplit", "--p", "inf"),
+    ("approx", "--fixture", "stepSplit", "--c", "nan"),
+    ("ly-check", "--gen", "alpha-stable", "--n", "16", "--seed", "1",
+     "--p", "1.5", "--q", "1.5", "--tol", "nan"),
+])
+def test_non_finite_parameters_exit_2(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("seminorm", "--fixture", "stepSplit", "--p", "2"),
+    ("ttv", "--fixture", "stepSplit", "--c", "0.5"),
+    ("gen", "--fixture", "stepSplit"),
+])
+def test_trials_must_be_positive(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--trials", "0")
+    assert code == 2 and out == "" and "--trials" in err
+
+
 def test_unknown_flag_rejected(capsys):
     assert run(["ttv", "--fixture", "stepSplit", "--c", "0.1", "--bogus"]) == 2
 

@@ -388,3 +388,18 @@ def test_indefinite_integral_seminorm_matches_direct(rng):
     rep = irregularity_check(f, g, 1.5, 1.5)
     direct = p_tv_seminorm(indefinite_integral(f, g), 1.5).value
     assert rep.lhs == direct
+
+
+def test_nan_parameters_rejected():
+    rng = np.random.default_rng(5)
+    f, g = random_step_pair(rng, d=2)
+    nan = float("nan")
+    pts, tags = np.array([0.0, 0.4, 1.0]), np.array([0.2, 0.7])
+    for call in (lambda: young_bound_S(f, g, choose_sequences(1.5, 1.5, f, g), tail_tol=nan),
+                 lambda: rs_integral(f, g, tol=nan),
+                 lambda: ly_constant(1.5, 1.5, tol=nan),
+                 lambda: SequencePair.from_lists([1.0, nan], [0.5]),
+                 lambda: SequencePair.closed_form(1.5, 1.5, nan, 1.0),
+                 lambda: partition_deviation_bound(f, g, pts, tags, [nan], [0.5])):
+        with pytest.raises(DomainError):
+            call()

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import tvkit.paths
 from tvkit import (DomainError, NormKind, OperatorPath, SampledPath, compose,
-                   gen_alpha_stable, gen_fixture, operator_norm, oscillation,
-                   read_path_csv, read_path_json, ttv, vector_norm,
+                   gen_alpha_stable, gen_fixture, improved_ly_check, operator_norm,
+                   oscillation, read_path_csv, read_path_json, ttv, vector_norm,
                    write_path_csv, write_path_json)
 from tvkit.variation import ttv_profile
 
@@ -46,10 +47,63 @@ def test_operator_norm_consistency(m, e, kind):
 
 
 def test_spectral_norm_matches_svd(rng):
-    mats = rng.normal(size=(40, 3, 3))
-    got = operator_norm(mats, NormKind.euclidean)
-    want = np.linalg.svd(mats, compute_uv=False)[:, 0]
-    assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
+    generic = rng.normal(size=(40, 3, 3))
+    # rank one and zero matrices: repeated zero singular values
+    rank_deficient = np.concatenate((rng.normal(size=(20, 3, 1)) * rng.normal(size=(20, 1, 3)),
+                                     np.zeros((2, 3, 3))))
+    # scalar multiples of the identity plus a tiny perturbation: a nearly
+    # degenerate top singular value
+    isotropic = rng.normal(size=(40, 1, 1)) * np.eye(3) + 1e-7 * rng.normal(size=(40, 3, 3))
+    for mats in (generic, rank_deficient, isotropic):
+        got = operator_norm(mats, NormKind.euclidean)
+        want = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def _near_isotropic_pair():
+    """2 x 2 integrand: a normal walk times the identity plus 1e-6 noise (n = 10),
+    against a staggered 2-d normal walk."""
+    rng = np.random.default_rng(0)
+    n = 10
+    t = np.linspace(0.0, 1.0, n)
+    f_ops = (np.cumsum(rng.standard_normal(n))[:, None, None] * np.eye(2)
+             + 1e-6 * rng.standard_normal((n, 2, 2)))
+    g_v = np.cumsum(rng.standard_normal((n, 2)), axis=0)
+    mids = 0.5 * (t[:-1] + t[1:])
+    g_t = np.concatenate(([t[0]], mids, [t[-1]]))
+    g_v = np.concatenate((g_v, g_v[-1:]))
+    return OperatorPath(t, f_ops), SampledPath(g_t, g_v)
+
+
+def test_spectral_norm_near_isotropic_differences():
+    f, _ = _near_isotropic_pair()
+    diffs = f.values[None, :, :, :] - f.values[:, None, :, :]
+    got = operator_norm(diffs, NormKind.euclidean)
+    want = np.linalg.svd(diffs, compute_uv=False)[..., 0]
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_ly_rhs_not_below_svd_norms(monkeypatch):
+    f, g = _near_isotropic_pair()
+    rhs = improved_ly_check(f, g, 1.6, 1.6).ly_rhs
+
+    def svd_norm(mats, kind):
+        return np.linalg.svd(np.asarray(mats, dtype=float), compute_uv=False)[..., 0]
+
+    monkeypatch.setattr(tvkit.paths, "operator_norm", svd_norm)
+    assert rhs >= improved_ly_check(f, g, 1.6, 1.6).ly_rhs
+
+
+def test_norm_kind_given_by_name():
+    # singular values of [[1, 2], [3, 4]]: sqrt(15 +- sqrt(221))
+    got = operator_norm(np.array([[[1.0, 2.0], [3.0, 4.0]]]), "euclidean")
+    assert math.isclose(float(got[0]), math.sqrt(15.0 + math.sqrt(221.0)), rel_tol=1e-15)
+    assert vector_norm(np.array([3.0, 4.0]), "euclidean") == 5.0
+    assert vector_norm(np.array([3.0, -4.0]), "sup") == 4.0
+    with pytest.raises(DomainError):
+        vector_norm(np.array([3.0, 4.0]), "frobenius")
+    with pytest.raises(DomainError):
+        operator_norm(np.eye(2), "frobenius")
 
 
 def test_sampled_path_validation():

@@ -181,3 +181,16 @@ def test_tv_p_norm_examples():
     assert tv_p_norm(const, 2.0) == 5.0
     ss = gen_fixture("stepSplit")
     assert tv_p_norm(ss, 2.0) == pytest.approx(math.sqrt(9.0 / 8.0), rel=1e-12)
+
+
+def test_non_finite_parameters_rejected():
+    path = gen_fixture("stepSplit")
+    for p in (float("nan"), math.inf):
+        with pytest.raises(DomainError):
+            c_p_const(p)
+        with pytest.raises(DomainError):
+            p_tv_seminorm(path, p)
+    with pytest.raises(DomainError):
+        sup_delta_single(float("nan"), 2.0)
+    with pytest.raises(DomainError):
+        fixed_partition_seminorm([1.0, float("nan")], 2.0)

@@ -205,3 +205,19 @@ def test_ttv_oscillation_bounds(rng):
         assert ttv(path, delta) >= max(osc - delta, 0.0) - 1e-12
         assert ttv(path, osc) == 0.0
         assert ttv(path, 1.5 * osc + 0.1) == 0.0
+
+
+def test_nan_parameters_rejected():
+    path = gen_fixture("stepSplit")
+    nan = float("nan")
+    with pytest.raises(DomainError):
+        ttv_profile(path).ttv(nan)
+    with pytest.raises(DomainError):
+        ttv(path, nan)
+    with pytest.raises(DomainError):
+        ttv_brute(path, nan)
+    for p in (nan, math.inf):
+        with pytest.raises(DomainError):
+            p_variation(path, p)
+    with pytest.raises(DomainError):
+        phi_value(PhiSpec.family(1, 2.0, 2.0), nan)
