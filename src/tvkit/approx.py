@@ -12,13 +12,17 @@ variation is at most lam * TTV(path, (lam-1) c / (2 lam)) for every lam > 1.
 
 A piecewise-linear variant shares the same knots and the exact same total
 variation; between knots it either holds the segment reference (when the
-increment into the next knot exceeds the continuity threshold) or
-interpolates linearly to it.
+increment into the next knot exceeds the continuity threshold, or when
+interpolating would leave the distance c to some sample) or interpolates
+linearly to it.
+
+The walk, both approximants and their evaluation on the grid are O(n) in the
+number of samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,22 +62,19 @@ def greedy_skeleton(path: SampledPath, c: float) -> GreedySkeleton:
     if not c > 0.0:
         raise DomainError("c must be positive")
     half = 0.5 * c
-    values = path.values
+    steps = path.increments().tolist()
     n = path.n
     idx = [0]
     branch: list[str] = []
     i = 0
     while i < n - 1:
-        one_step = float(path.norm_of(values[i + 1] - values[i]))
-        if one_step >= half:
+        if steps[i] >= half:
             j = i + 1
             branch.append(BIG)
         else:
-            dists = path.norm_of(values[i + 1:] - values[i])
-            hits = np.nonzero(dists > half)[0]
-            if hits.size == 0:
+            j = _first_exit(path, i, half)
+            if j is None:
                 break
-            j = i + 1 + int(hits[0])
             branch.append(SMALL)
         idx.append(j)
         i = j
@@ -82,16 +83,39 @@ def greedy_skeleton(path: SampledPath, c: float) -> GreedySkeleton:
                           branch=tuple(branch), c=float(c))
 
 
+_FIRST_WINDOW = 16
+
+
+def _first_exit(path: SampledPath, i: int, half: float) -> int | None:
+    """First index j > i with ||x_j - x_i|| > half, or None if there is none.
+
+    Scans consecutive windows of doubling width, so the cost is linear in
+    j - i rather than in the n - i samples left; summed over the walk's stops
+    that makes the skeleton O(n).
+    """
+    values = path.values
+    n = path.n
+    lo, width = i + 1, _FIRST_WINDOW
+    while lo < n:
+        hi = min(n, lo + width)
+        far = path.norm_of(values[lo:hi] - values[i]) > half
+        k = int(far.argmax())
+        if far[k]:
+            return lo + k
+        lo, width = hi, 2 * width
+    return None
+
+
 @dataclass(frozen=True)
 class Approximant:
     """A step or piecewise-linear approximant of a sampled path.
 
     For kind "step", ``path`` holds the approximant resampled on the source
-    grid.  For kind "linear" the knot data describe it exactly: on each open
-    inter-knot interval the value is either held at ``seg_anchor`` (held
-    segment, i.e. the source jumps into the next knot) or interpolated from
-    the anchor to the next knot value; past the last knot the tail anchor is
-    held to the end.
+    grid.  For kind "linear" the knot data describe it exactly on
+    [knot_times[0], end_time]: on each open inter-knot interval the value is
+    either held at ``seg_anchor`` (held segment) or interpolated from the
+    anchor to the next knot value; past the last knot the tail anchor is held
+    to the source path's end time.
     """
 
     kind: str
@@ -104,55 +128,51 @@ class Approximant:
     seg_anchor: np.ndarray | None = None
     seg_held: tuple[bool, ...] | None = None
     tail_anchor: np.ndarray | None = None
+    end_time: float | None = None
 
     def eval_at(self, t) -> np.ndarray:
         if self.kind == "step":
             return self.path.eval_at(t)
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        knots = self.knot_times
-        out = np.empty((ts.size, self.knot_values.shape[1]))
-        for row, x in enumerate(ts):
-            pos = int(np.searchsorted(knots, x))
-            if pos < knots.size and knots[pos] == x:
-                out[row] = self.knot_values[pos]
-            elif pos == 0:
-                raise DomainError("evaluation time outside the approximant range")
-            elif pos >= knots.size:
-                if self.tail_anchor is None:
-                    raise DomainError("evaluation time outside the approximant range")
-                out[row] = self.tail_anchor
-            else:
-                s = pos - 1
-                if self.seg_held[s]:
-                    out[row] = self.seg_anchor[s]
-                else:
-                    lam = (x - knots[s]) / (knots[s + 1] - knots[s])
-                    out[row] = (1.0 - lam) * self.seg_anchor[s] + lam * self.knot_values[s + 1]
+        knots, kv = self.knot_times, self.knot_values
+        if ts.size and not (ts.min() >= knots[0] and ts.max() <= self.end_time):
+            raise DomainError("evaluation time outside the approximant range")
+        pos = np.searchsorted(knots, ts)
+        at_knot = knots[np.minimum(pos, knots.size - 1)] == ts
+        tail = ~at_knot & (pos == knots.size)
+        inner = ~at_knot & ~tail
+        out = np.empty((ts.size, kv.shape[1]))
+        out[at_knot] = kv[pos[at_knot]]
+        if tail.any():
+            out[tail] = self.tail_anchor
+        s = pos[inner] - 1
+        anchor = self.seg_anchor[s]
+        lam = ((ts[inner] - knots[s]) / (knots[s + 1] - knots[s]))[:, None]
+        held = np.array(self.seg_held, dtype=bool)[s, None]
+        out[inner] = np.where(held, anchor, (1.0 - lam) * anchor + lam * kv[s + 1])
         return out
 
 
 def _segment_layout(path: SampledPath, sk: GreedySkeleton):
-    """Per-segment (start_idx, end_idx_or_None, anchor) for the skeleton."""
-    values = path.values
-    segs = []
-    for m, start in enumerate(sk.indices[:-1]):
-        anchor = values[start + 1] if sk.branch[m] == BIG else values[start]
-        segs.append((int(start), int(sk.indices[m + 1]), anchor))
+    """Segment start and end indices, segment anchors, last knot, tail anchor."""
+    starts, ends = sk.indices[:-1], sk.indices[1:]
+    big = np.array([b == BIG for b in sk.branch], dtype=bool)
+    anchors = path.values[starts + big]
     last = int(sk.indices[-1])
-    tail = values[last] if last < path.n - 1 else None
-    return segs, last, tail
+    tail = path.values[last] if last < path.n - 1 else None
+    return starts, ends, anchors, last, tail
 
 
-def _trace_tv(path: SampledPath, sk: GreedySkeleton) -> float:
-    """Total variation of the approximant as the walk's value trace."""
-    segs, last, tail = _segment_layout(path, sk)
-    trace = [path.values[sk.indices[0]]]
-    for _, end, anchor in segs:
-        trace.append(anchor)
-        trace.append(path.values[end])
+def _trace_tv(path: SampledPath, ends, anchors, tail) -> float:
+    """Total variation of the approximant as the walk's value trace
+    x_0, anchor_0, x_end_0, anchor_1, x_end_1, ..., tail."""
+    m = anchors.shape[0]
+    trace = np.empty((1 + 2 * m + (tail is not None), path.dim))
+    trace[0] = path.values[0]
+    trace[1:2 * m + 1:2] = anchors
+    trace[2:2 * m + 2:2] = path.values[ends]
     if tail is not None:
-        trace.append(tail)
-    trace = np.asarray(trace)
+        trace[-1] = tail
     if trace.shape[0] < 2:
         return 0.0
     return float(np.sum(path.norm_of(np.diff(trace, axis=0))))
@@ -161,17 +181,17 @@ def _trace_tv(path: SampledPath, sk: GreedySkeleton) -> float:
 def step_approx(path: SampledPath, c: float) -> Approximant:
     """Greedy step approximant, resampled on the source grid."""
     sk = greedy_skeleton(path, c)
-    segs, last, tail = _segment_layout(path, sk)
-    w = np.empty_like(path.values)
-    for start, end, anchor in segs:
-        w[start] = path.values[start]
-        w[start + 1:end] = anchor
-    w[last:] = path.values[last]
+    starts, ends, anchors, last, tail = _segment_layout(path, sk)
+    values = path.values
+    w = np.empty_like(values)
+    w[:last] = anchors[np.repeat(np.arange(starts.size), ends - starts)]
+    w[starts] = values[starts]
+    w[last:] = values[last]
     approx_path = SampledPath(path.times, w, path.norm)
     # the trace reduction makes tv bit-identical with the linear variant's;
     # the grid representation's jump sum equals it up to summation order
-    tv = _trace_tv(path, sk)
-    sup_dist = float(np.max(path.norm_of(w - path.values)))
+    tv = _trace_tv(path, ends, anchors, tail)
+    sup_dist = float(np.max(path.norm_of(w - values)))
     return Approximant(kind="step", skeleton=sk, tv=tv, sup_distance=sup_dist,
                        path=approx_path)
 
@@ -181,37 +201,29 @@ def linear_approx(path: SampledPath, c: float, eps_cont: float = 0.0) -> Approxi
 
     A segment interpolates to its terminal knot only when the one-step
     increment into that knot is <= eps_cont (the sampled notion of arriving
-    continuously); otherwise the segment holds its anchor and jumps at the
-    knot.  With the default eps_cont = 0 only exactly repeated values count
-    as continuous arrivals.
+    continuously) and the interpolant stays within c of every sample on the
+    segment; otherwise the segment holds its anchor and jumps at the knot.
+    Held segments stay within c/2, so the approximant is always within c.
+    With the default eps_cont = 0 every segment is held.
     """
     if not eps_cont >= 0.0:
         raise DomainError("eps_cont must be nonnegative")
     sk = greedy_skeleton(path, c)
-    segs, last, tail = _segment_layout(path, sk)
+    starts, ends, anchors, last, tail = _segment_layout(path, sk)
     values = path.values
-    anchors = []
-    held = []
-    for start, end, anchor in segs:
-        step_in = float(path.norm_of(values[end] - values[end - 1]))
-        anchors.append(anchor)
-        held.append(step_in > eps_cont)
-    knot_idx = sk.indices
-    knot_values = values[knot_idx]
-    tv = _trace_tv(path, sk)
-
+    held = path.increments()[ends - 1] > eps_cont
     approx = Approximant(
-        kind="linear", skeleton=sk, tv=tv, sup_distance=0.0,
-        knot_times=path.times[knot_idx],
-        knot_values=knot_values,
-        seg_anchor=np.asarray(anchors) if anchors else np.zeros((0, path.dim)),
-        seg_held=tuple(held),
-        tail_anchor=tail,
+        kind="linear", skeleton=sk, tv=_trace_tv(path, ends, anchors, tail),
+        sup_distance=0.0, knot_times=path.times[sk.indices],
+        knot_values=values[sk.indices], seg_anchor=anchors,
+        seg_held=tuple(held.tolist()), tail_anchor=tail, end_time=path.b,
     )
-    on_grid = approx.eval_at(path.times)
-    sup_dist = float(np.max(path.norm_of(on_grid - values)))
-    object.__setattr__(approx, "sup_distance", sup_dist)
-    return approx
+    err = path.norm_of(approx.eval_at(path.times) - values)
+    if not held.all():
+        held |= np.maximum.reduceat(err[:last], starts) > c
+        approx = replace(approx, seg_held=tuple(held.tolist()))
+        err = path.norm_of(approx.eval_at(path.times) - values)
+    return replace(approx, sup_distance=float(np.max(err)))
 
 
 @dataclass(frozen=True)

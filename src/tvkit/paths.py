@@ -99,7 +99,8 @@ def _validate_times(times: np.ndarray) -> None:
 
 def _eval_step_indices(times: np.ndarray, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if t.size and (t.min() < times[0] or t.max() > times[-1]):
+    # written so that NaN fails the test
+    if t.size and not (t.min() >= times[0] and t.max() <= times[-1]):
         raise DomainError("evaluation time outside the sampled range")
     idx = np.searchsorted(times, t, side="right") - 1
     return np.clip(idx, 0, times.size - 1)

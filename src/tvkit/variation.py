@@ -102,27 +102,28 @@ def total_variation(path) -> float:
 
 
 def subsequence_sup_brute(path, weight: Callable[[float], float]) -> float:
-    """Enumerate all index subsequences; oracle for the dynamic programs."""
+    """Enumerate all index subsequences; oracle for the dynamic programs.
+
+    The sum of a mask whose highest sample is k extends the sum of the mask
+    without k by the weight of the last pair, so every sum adds its pair
+    weights left to right, exactly as a per-mask loop would.
+    """
     n = path.n
     if n > _BRUTE_MAX_SAMPLES:
         raise DomainError(f"brute enumeration limited to {_BRUTE_MAX_SAMPLES} samples")
     dist = path.distance_matrix()
-    best = 0.0
-    for mask in range(1 << n):
-        prev = -1
-        total = 0.0
-        k = 0
-        m = mask
-        while m:
-            if m & 1:
-                if prev >= 0:
-                    total += weight(float(dist[prev, k]))
-                prev = k
-            m >>= 1
-            k += 1
-        if total > best:
-            best = total
-    return best
+    w = np.zeros((n, n))
+    for i in range(n):
+        for k in range(i + 1, n):
+            w[i, k] = weight(float(dist[i, k]))
+    totals = np.zeros(1 << n)
+    top = np.zeros(1 << n, dtype=int)   # highest sample of each mask
+    for k in range(n):
+        lo = 1 << k
+        totals[lo + 1:2 * lo] = totals[1:lo] + w[top[1:lo], k]
+        top[lo:2 * lo] = k
+    # NaN sums never win, as in a running `total > best` scan
+    return float(np.max(np.where(totals > 0.0, totals, 0.0)))
 
 
 def ttv_brute(path, c: float) -> float:

@@ -119,6 +119,15 @@ def test_sampled_path_validation():
         SampledPath([], [])
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_step_eval_rejects_non_finite_times(t):
+    p = SampledPath([0.0, 1.0, 2.0], [5.0, 7.0, -1.0])
+    op = OperatorPath([0.0, 1.0, 2.0], np.ones((3, 2, 2)))
+    for path in (p, op):
+        with pytest.raises(DomainError):
+            path.eval_at([0.5, t])
+
+
 def test_operator_path_validation():
     with pytest.raises(DomainError):
         OperatorPath([0.0, 1.0], np.zeros((2, 2, 3)))

@@ -77,6 +77,32 @@ def test_operator_path_profile_matches_brute(rng):
         assert p_variation(path, p) == pytest.approx(brute, abs=1e-10)
 
 
+def _brute_per_mask(path, weight):
+    """subsequence_sup_brute as one loop per mask, adding pair weights left to right."""
+    dist = path.distance_matrix()
+    best = 0.0
+    for mask in range(1 << path.n):
+        prev, total = -1, 0.0
+        for k in range(path.n):
+            if mask >> k & 1:
+                if prev >= 0:
+                    total += weight(float(dist[prev, k]))
+                prev = k
+        if total > best:
+            best = total
+    return best
+
+
+def test_brute_matches_per_mask_loop(rng):
+    for _ in range(30):
+        path = random_path(rng, n=int(rng.integers(1, 10)), d=int(rng.integers(1, 4)),
+                           norm=ALL_NORMS[rng.integers(0, 3)])
+        p = float(rng.uniform(1.0, 3.0))
+        c = float(rng.uniform(0.0, 1.5))
+        for weight in (lambda x: x ** p, lambda x: max(x - c, 0.0)):
+            assert subsequence_sup_brute(path, weight) == _brute_per_mask(path, weight)
+
+
 def test_p_variation_examples():
     zig = SampledPath([0, 1, 2], [0.0, 1.0, -1.0])
     assert p_variation(zig, 2.0) == 5.0
