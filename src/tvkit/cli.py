@@ -37,23 +37,22 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"tvkit {__version__}")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, needs_path=True):
-        if needs_path:
-            p.add_argument("--input", action="append", default=[],
-                           help="path file (CSV: time,v1,..,vd; or JSON); repeat "
-                                "for integrand+integrator pairs")
-            p.add_argument("--fixture", help="built-in path: circle3|stepSplit|logSeq")
-            p.add_argument("--gen", dest="generator", help="generator: alpha-stable")
-            p.add_argument("--fixture-p", type=float, help="logSeq exponent (> 1)")
-            p.add_argument("--fixture-n", type=int, help="logSeq spike count (>= 2)")
-            p.add_argument("--alpha", type=float, default=1.8,
-                           help="stability index for --gen alpha-stable (default 1.8)")
-            p.add_argument("--n", type=int, default=256,
-                           help="sample count for --gen (default 256)")
-            p.add_argument("--scale", type=float, default=1.0,
-                           help="scale for --gen (default 1.0)")
-            p.add_argument("--horizon", type=float, default=1.0,
-                           help="time horizon for --gen (default 1.0)")
+    def common(p):
+        p.add_argument("--input", action="append", default=[],
+                       help="path file (CSV: time,v1,..,vd; or JSON); repeat "
+                            "for integrand+integrator pairs")
+        p.add_argument("--fixture", help="built-in path: circle3|stepSplit|logSeq")
+        p.add_argument("--gen", dest="generator", help="generator: alpha-stable")
+        p.add_argument("--fixture-p", type=float, help="logSeq exponent (> 1)")
+        p.add_argument("--fixture-n", type=int, help="logSeq spike count (>= 2)")
+        p.add_argument("--alpha", type=float, default=1.8,
+                       help="stability index for --gen alpha-stable (default 1.8)")
+        p.add_argument("--n", type=int, default=256,
+                       help="sample count for --gen (default 256)")
+        p.add_argument("--scale", type=float, default=1.0,
+                       help="scale for --gen (default 1.0)")
+        p.add_argument("--horizon", type=float, default=1.0,
+                       help="time horizon for --gen (default 1.0)")
         p.add_argument("--norm", default="euclidean",
                        help="euclidean|sup|l1 (default euclidean)")
         p.add_argument("--tol", type=float, default=1e-9,
@@ -216,7 +215,7 @@ def _flatten(obj, prefix=""):
     rows = []
     if isinstance(obj, dict):
         for k, v in obj.items():
-            rows.extend(_flatten(v, f"{prefix}{k}." if not prefix else f"{prefix}{k}."))
+            rows.extend(_flatten(v, f"{prefix}{k}."))
     elif isinstance(obj, list) and obj and isinstance(obj[0], (dict, list)):
         for i, v in enumerate(obj):
             rows.extend(_flatten(v, f"{prefix}{i}."))

@@ -73,85 +73,79 @@ def _alpha_r(p: float, q: float) -> tuple[float, float]:
 # evaluables: anything we can sample at arbitrary times
 # ---------------------------------------------------------------------------
 
-class _Evaluable:
-    domain: tuple[float, float] | None = None
-    source: object = None
-
-    def eval_at(self, t: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-
-class _PathStep(_Evaluable):
-    def __init__(self, path):
-        self.path = path
-        self.source = path
-        self.domain = (path.a, path.b)
-
-    def eval_at(self, t):
-        return self.path.eval_at(t)
-
-
-class _PathLinear(_Evaluable):
+class _PathLinear:
     """Piecewise-linear completion through the samples."""
 
     def __init__(self, path):
-        self.path = path
         self.source = path
-        self.domain = (path.a, path.b)
         self._flat = path.values.reshape(path.n, -1)
 
     def eval_at(self, t):
         ts = np.asarray(t, dtype=float)
-        if ts.size and (ts.min() < self.path.a or ts.max() > self.path.b):
+        # written so that NaN fails the test
+        if ts.size and not (ts.min() >= self.source.a and ts.max() <= self.source.b):
             raise DomainError("evaluation time outside the sampled range")
-        cols = [np.interp(ts, self.path.times, self._flat[:, j])
+        cols = [np.interp(ts, self.source.times, self._flat[:, j])
                 for j in range(self._flat.shape[1])]
         out = np.stack(cols, axis=-1)
-        return out.reshape(ts.shape + self.path.values.shape[1:])
+        return out.reshape(ts.shape + self.source.values.shape[1:])
 
 
-class _FuncVector(_Evaluable):
-    def __init__(self, fn: Callable):
+class _PathStep:
+    """Step completion: the path's own right-continuous evaluation."""
+
+    def __init__(self, path):
+        self.source = path
+        self.eval_at = path.eval_at
+
+
+class _Func:
+    """A callable of time; 1-d results are promoted to values of the given rank."""
+
+    source = None
+
+    def __init__(self, fn: Callable, rank: int):
         self.fn = fn
+        self.rank = rank
 
     def eval_at(self, t):
         out = np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
         if out.ndim == 1:
-            out = out[:, None]
+            out = out.reshape((out.size,) + (1,) * (self.rank - 1))
         return out
 
 
-class _FuncOperator(_Evaluable):
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def eval_at(self, t):
-        out = np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
-        if out.ndim == 1:
-            out = out[:, None, None]
-        return out
-
-
-def _as_vector_evaluable(g, completion: str) -> _Evaluable:
-    if isinstance(g, _Evaluable):
-        return g
-    if isinstance(g, SampledPath):
-        return _PathLinear(g) if completion == "linear" else _PathStep(g)
-    if callable(g):
-        return _FuncVector(g)
+def _evaluable(x, completion: str, operator: bool):
+    """Adapter sampling an integrand (``operator``) or an integrator at any times."""
+    if operator and isinstance(x, SampledPath):
+        x = OperatorPath.from_scalar_path(x)
+    if isinstance(x, OperatorPath if operator else SampledPath):
+        return _PathLinear(x) if completion == "linear" else _PathStep(x)
+    if callable(x):
+        return _Func(x, 3 if operator else 2)
+    if operator:
+        raise DomainError("integrand must be an operator path, scalar path, or callable")
     raise DomainError("integrator must be a sampled path or a callable")
 
 
-def _as_operator_evaluable(f, completion: str) -> _Evaluable:
-    if isinstance(f, _Evaluable):
-        return f
-    if isinstance(f, OperatorPath):
-        return _PathLinear(f) if completion == "linear" else _PathStep(f)
-    if isinstance(f, SampledPath):
-        return _as_operator_evaluable(OperatorPath.from_scalar_path(f), completion)
-    if callable(f):
-        return _FuncOperator(f)
-    raise DomainError("integrand must be an operator path, scalar path, or callable")
+def _as_operator(f) -> OperatorPath:
+    """The integrand as an operator path; a scalar path becomes 1x1."""
+    return f if isinstance(f, OperatorPath) else OperatorPath.from_scalar_path(f)
+
+
+def _check_partition(partition, tags) -> tuple[np.ndarray, np.ndarray]:
+    """Partition points and tags as arrays, each tag inside its cell."""
+    pts = np.asarray(partition, dtype=float)
+    xi = np.asarray(tags, dtype=float)
+    if (pts.ndim != 1 or pts.size < 2 or not np.all(np.isfinite(pts))
+            or not np.all(np.diff(pts) > 0.0)):
+        raise DomainError("partition must be finite, strictly increasing, with >= 2 points")
+    if xi.shape != (pts.size - 1,):
+        raise DomainError("need exactly one tag per partition cell")
+    # written so that NaN fails the test
+    if not np.all((xi >= pts[:-1]) & (xi <= pts[1:])):
+        raise DomainError("each tag must lie inside its cell")
+    return pts, xi
 
 
 def _require_disjoint_jumps(f, g) -> None:
@@ -195,16 +189,9 @@ def sum_by_parts_sides(op_values: np.ndarray, vec_values: np.ndarray):
 
 def rs_sum(f, g, partition, tags, completion: str = "step") -> np.ndarray:
     """Tagged Riemann-Stieltjes sum sum_i f(xi_i) [g(t_i) - g(t_{i-1})]."""
-    pts = np.asarray(partition, dtype=float)
-    xi = np.asarray(tags, dtype=float)
-    if pts.ndim != 1 or pts.size < 2 or not np.all(np.diff(pts) > 0.0):
-        raise DomainError("partition must be strictly increasing with >= 2 points")
-    if xi.shape != (pts.size - 1,):
-        raise DomainError("need exactly one tag per partition cell")
-    if np.any(xi < pts[:-1]) or np.any(xi > pts[1:]):
-        raise DomainError("each tag must lie inside its cell")
-    fe = _as_operator_evaluable(f, completion)
-    ge = _as_vector_evaluable(g, completion)
+    pts, xi = _check_partition(partition, tags)
+    fe = _evaluable(f, completion, operator=True)
+    ge = _evaluable(g, completion, operator=False)
     fo = fe.eval_at(xi)
     gv = ge.eval_at(pts)
     return np.einsum("kij,kj->i", fo, np.diff(gv, axis=0))
@@ -224,9 +211,8 @@ def _resolution_floor(fe, ge, a: float, b: float, levels: int) -> int:
     """
     knots = [np.array([a, b])]
     for ev in (fe, ge):
-        src = getattr(ev, "source", None)
-        if src is not None:
-            knots.append(src.times)
+        if ev.source is not None:
+            knots.append(ev.source.times)
     times = np.unique(np.concatenate(knots))
     times = times[(times >= a) & (times <= b)]
     if times.size < 2:
@@ -282,17 +268,16 @@ def rs_integral(f, g, tol: float = 1e-9, max_levels: int | None = None,
         raise DomainError("tol must be positive")
     if tag_rule not in ("left", "mid", "right"):
         raise DomainError("tag_rule must be left, mid, or right")
-    fe = _as_operator_evaluable(f, completion)
-    ge = _as_vector_evaluable(g, completion)
+    fe = _evaluable(f, completion, operator=True)
+    ge = _evaluable(g, completion, operator=False)
     if completion == "step":
-        _require_disjoint_jumps(getattr(fe, "source", None) or f,
-                                getattr(ge, "source", None) or g)
-    dom = interval or ge.domain or fe.domain
-    if dom is None:
+        _require_disjoint_jumps(fe.source or f, ge.source or g)
+    src = ge.source or fe.source
+    if not interval and src is None:
         raise DomainError("no integration interval: pass interval=(a, b)")
-    a, b = float(dom[0]), float(dom[1])
-    if not a < b:
-        raise DomainError("integration interval must have a < b")
+    a, b = map(float, interval or (src.a, src.b))
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError("integration interval must be finite with a < b")
     kind = _result_norm_kind(f, g)
     levels = _resolve_max_levels(max_levels)
     floor = _resolution_floor(fe, ge, a, b, levels)
@@ -317,10 +302,8 @@ def step_integral(f, g: SampledPath) -> np.ndarray:
     Each jump of g at time s contributes f(s) dg(s); f is continuous at
     every such s, so the tagged sums converge to exactly this finite sum.
     """
-    fop = f if isinstance(f, OperatorPath) else OperatorPath.from_scalar_path(f)
+    fop = _as_operator(f)
     _require_disjoint_jumps(fop, g)
-    if g.n < 2:
-        return np.zeros(g.dim)
     jumps = np.nonzero(g.increments() > 0.0)[0] + 1
     if jumps.size == 0:
         return np.zeros(g.dim)
@@ -331,11 +314,9 @@ def step_integral(f, g: SampledPath) -> np.ndarray:
 
 def indefinite_integral(f, g: SampledPath) -> SampledPath:
     """Running integral of [f(s) - f(a)] dg(s), sampled at g's jump times."""
-    fop = f if isinstance(f, OperatorPath) else OperatorPath.from_scalar_path(f)
+    fop = _as_operator(f)
     _require_disjoint_jumps(fop, g)
     fa = fop.eval_at(np.array([g.a]))[0]
-    if g.n < 2:
-        return SampledPath(g.times[:1], np.zeros((1, g.dim)), g.norm)
     jumps = np.nonzero(g.increments() > 0.0)[0] + 1
     if jumps.size == 0:
         return SampledPath(g.times[:1], np.zeros((1, g.dim)), g.norm)
@@ -545,14 +526,7 @@ def partition_deviation_bound(f, g, partition, tags, deltas, epsilons) -> float:
 
     with the truncated variations taken over [c, d].
     """
-    pts = np.asarray(partition, dtype=float)
-    xi = np.asarray(tags, dtype=float)
-    if pts.ndim != 1 or pts.size < 2 or not np.all(np.diff(pts) > 0.0):
-        raise DomainError("partition must be strictly increasing with >= 2 points")
-    if xi.shape != (pts.size - 1,):
-        raise DomainError("need exactly one tag per partition cell")
-    if np.any(xi < pts[:-1]) or np.any(xi > pts[1:]):
-        raise DomainError("each tag must lie inside its cell")
+    pts, xi = _check_partition(partition, tags)
     ds = np.asarray(deltas, dtype=float)
     es = np.asarray(epsilons, dtype=float)
     if ds.shape != es.shape or ds.ndim != 1 or ds.size == 0:
@@ -562,7 +536,7 @@ def partition_deviation_bound(f, g, partition, tags, deltas, epsilons) -> float:
             raise DomainError(f"{name} must be positive")
         if np.any(np.diff(arr) > 0.0):
             raise DomainError(f"{name} must be nonincreasing")
-    fop = f if isinstance(f, OperatorPath) else OperatorPath.from_scalar_path(f)
+    fop = _as_operator(f)
     c, d = float(pts[0]), float(pts[-1])
     fr = fop.restrict(c, d)
     gr = g.restrict(c, d)
@@ -590,8 +564,8 @@ def _sum_double_exp_series(const: float, coef: float, r: float, tol: float) -> f
     tol * partial.  Growth persisting past the analytic turnover or hitting
     the term cap raises (divergence is never reported as a huge number).
     """
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < 1.0:
+        raise DomainError("tol must lie in (0, 1)")
     turnover = 0.0
     if coef * (r - 1.0) < 1.0:
         turnover = math.log(1.0 / (coef * (r - 1.0))) / math.log(r)
@@ -655,6 +629,15 @@ def irregularity_constant(p: float, q: float, tol: float = 1e-9) -> float:
 # the two inequalities
 # ---------------------------------------------------------------------------
 
+def _operands(f, g, p: float, q: float) -> OperatorPath:
+    """Prologue of both checks: valid exponents, f promoted, one norm kind."""
+    _check_exponents(p, q)
+    fop = _as_operator(f)
+    if fop.norm != g.norm:
+        raise DomainError("integrand and integrator must use the same norm kind")
+    return fop
+
+
 def improved_ly_check(f, g, p: float, q: float, tol: float = 1e-9,
                       completion: str = "step",
                       max_levels: int | None = None) -> IntegralReport:
@@ -665,10 +648,7 @@ def improved_ly_check(f, g, p: float, q: float, tol: float = 1e-9,
     osc(f)^(1+p/q-p) * V^q(g)^(1/q).  The reported ratio lhs/rhs is at most 1
     whenever the hypotheses hold (0/0 counts as 0).
     """
-    _check_exponents(p, q)
-    fop = f if isinstance(f, OperatorPath) else OperatorPath.from_scalar_path(f)
-    if fop.norm != g.norm:
-        raise DomainError("integrand and integrator must use the same norm kind")
+    fop = _operands(f, g, p, q)
     if completion == "step":
         value = step_integral(fop, g)
         levels, gap = 0, 0.0
@@ -704,10 +684,7 @@ def irregularity_check(f, g: SampledPath, p: float, q: float,
     (step semantics, exact); rhs = D(p,q,tol) * ||f||_{p-TV}^(p-p/q) *
     osc(f)^(1+p/q-p) * ||g||_{q-TV}.  ratio <= 1 under the hypotheses.
     """
-    _check_exponents(p, q)
-    fop = f if isinstance(f, OperatorPath) else OperatorPath.from_scalar_path(f)
-    if fop.norm != g.norm:
-        raise DomainError("integrand and integrator must use the same norm kind")
+    fop = _operands(f, g, p, q)
     integral = indefinite_integral(fop, g)
     lhs = p_tv_seminorm(integral, q).value
     f_semi = p_tv_seminorm(fop, p).value

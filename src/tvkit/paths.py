@@ -6,7 +6,11 @@ value until the next stamp.  All variation functionals in this package are
 computed on the sample values, which coincides with the corresponding
 functional of the step completion.  :class:`OperatorPath` is the matrix-valued
 analogue used for integrands, measured in the operator norm induced by the
-chosen vector norm.
+chosen vector norm.  Both share one private base, ``_Path``, which holds the
+validation, step evaluation, increments, distance matrix and restriction; a
+subclass fixes only the rank of its values and the norm that measures them.
+The two are siblings, not parent and child: the integrators tell an
+integrand from an integrator by class.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -97,32 +102,31 @@ def _validate_times(times: np.ndarray) -> None:
         raise DomainError("times must be strictly increasing")
 
 
-def _eval_step_indices(times: np.ndarray, t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    # written so that NaN fails the test
-    if t.size and not (t.min() >= times[0] and t.max() <= times[-1]):
-        raise DomainError("evaluation time outside the sampled range")
-    idx = np.searchsorted(times, t, side="right") - 1
-    return np.clip(idx, 0, times.size - 1)
-
-
 @dataclass(frozen=True)
-class SampledPath:
-    """Vector-valued sampled path; semantically a right-continuous step function."""
+class _Path:
+    """Sampled path: strictly increasing finite times, one finite value per time.
+
+    The subclasses fix the rank of ``values`` (time axis included), the
+    message for values of the wrong shape, and ``norm_of``.
+    """
 
     times: np.ndarray
     values: np.ndarray
     norm: NormKind = NormKind.euclidean
 
+    _rank = 2
+    _shape_error = "values must align with times and have dimension >= 1"
+
     def __post_init__(self):
         times = np.ascontiguousarray(np.asarray(self.times, dtype=float))
         values = np.asarray(self.values, dtype=float)
         if values.ndim == 1:
-            values = values[:, None]
+            values = values.reshape((values.size,) + (1,) * (self._rank - 1))
         values = np.ascontiguousarray(values)
         _validate_times(times)
-        if values.ndim != 2 or values.shape[0] != times.size or values.shape[1] < 1:
-            raise DomainError("values must align with times and have dimension >= 1")
+        if (values.ndim != self._rank or values.shape[0] != times.size
+                or values.shape[1] < 1 or len(set(values.shape[1:])) != 1):
+            raise DomainError(self._shape_error)
         if not np.all(np.isfinite(values)):
             raise DomainError("values must be finite")
         times.flags.writeable = False
@@ -148,13 +152,14 @@ class SampledPath:
     def b(self) -> float:
         return float(self.times[-1])
 
-    def norm_of(self, vecs: np.ndarray) -> np.ndarray:
-        return vector_norm(vecs, self.norm)
-
     def eval_at(self, t) -> np.ndarray:
         """Step evaluation: value at the nearest sample time <= t."""
-        idx = _eval_step_indices(self.times, np.atleast_1d(np.asarray(t, dtype=float)))
-        return self.values[idx]
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        # written so that NaN fails the test
+        if t.size and not (t.min() >= self.a and t.max() <= self.b):
+            raise DomainError("evaluation time outside the sampled range")
+        idx = np.searchsorted(self.times, t, side="right") - 1
+        return self.values[np.clip(idx, 0, self.n - 1)]
 
     def increments(self) -> np.ndarray:
         """Norms of the one-step value differences, length n-1."""
@@ -164,8 +169,7 @@ class SampledPath:
 
     def distance_matrix(self) -> np.ndarray:
         """(n, n) matrix of pairwise value distances."""
-        diffs = self.values[None, :, :] - self.values[:, None, :]
-        return self.norm_of(diffs)
+        return self.norm_of(self.values[None] - self.values[:, None])
 
     def jump_times(self) -> np.ndarray:
         """Times of the nonzero jumps of the step completion."""
@@ -173,89 +177,34 @@ class SampledPath:
             return np.zeros(0)
         return self.times[1:][self.increments() > 0.0]
 
-    def restrict(self, c: float, d: float) -> "SampledPath":
+    def restrict(self, c: float, d: float) -> "_Path":
         """Resample the step completion on the subinterval [c, d]."""
         if not (self.a <= c < d <= self.b):
             raise DomainError("restriction interval must satisfy a <= c < d <= b")
         inner = (self.times > c) & (self.times <= d)
         times = np.concatenate(([c], self.times[inner]))
         values = np.concatenate((self.eval_at(np.array([c])), self.values[inner]))
-        return SampledPath(times, values, self.norm)
+        return type(self)(times, values, self.norm)
+
+
+class SampledPath(_Path):
+    """Vector-valued sampled path; semantically a right-continuous step function."""
+
+    def norm_of(self, vecs: np.ndarray) -> np.ndarray:
+        return vector_norm(vecs, self.norm)
 
     def scaled(self, factor: float) -> "SampledPath":
         return SampledPath(self.times, factor * self.values, self.norm)
 
 
-@dataclass(frozen=True)
-class OperatorPath:
+class OperatorPath(_Path):
     """Matrix-valued sampled path, measured in the induced operator norm."""
 
-    times: np.ndarray
-    values: np.ndarray  # (n, d, d)
-    norm: NormKind = NormKind.euclidean
-
-    def __post_init__(self):
-        times = np.ascontiguousarray(np.asarray(self.times, dtype=float))
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None, None]
-        values = np.ascontiguousarray(values)
-        _validate_times(times)
-        if (values.ndim != 3 or values.shape[0] != times.size
-                or values.shape[1] != values.shape[2] or values.shape[1] < 1):
-            raise DomainError("operator values must be (n, d, d) aligned with times")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("values must be finite")
-        times.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "norm", NormKind.parse(self.norm))
-
-    @property
-    def n(self) -> int:
-        return self.times.size
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def a(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def b(self) -> float:
-        return float(self.times[-1])
+    _rank = 3  # values are (n, d, d)
+    _shape_error = "operator values must be (n, d, d) aligned with times"
 
     def norm_of(self, mats: np.ndarray) -> np.ndarray:
         return operator_norm(mats, self.norm)
-
-    def eval_at(self, t) -> np.ndarray:
-        idx = _eval_step_indices(self.times, np.atleast_1d(np.asarray(t, dtype=float)))
-        return self.values[idx]
-
-    def increments(self) -> np.ndarray:
-        if self.n < 2:
-            return np.zeros(0)
-        return self.norm_of(np.diff(self.values, axis=0))
-
-    def distance_matrix(self) -> np.ndarray:
-        diffs = self.values[None, :, :, :] - self.values[:, None, :, :]
-        return self.norm_of(diffs)
-
-    def jump_times(self) -> np.ndarray:
-        if self.n < 2:
-            return np.zeros(0)
-        return self.times[1:][self.increments() > 0.0]
-
-    def restrict(self, c: float, d: float) -> "OperatorPath":
-        if not (self.a <= c < d <= self.b):
-            raise DomainError("restriction interval must satisfy a <= c < d <= b")
-        inner = (self.times > c) & (self.times <= d)
-        times = np.concatenate(([c], self.times[inner]))
-        values = np.concatenate((self.eval_at(np.array([c])), self.values[inner]))
-        return OperatorPath(times, values, self.norm)
 
     @classmethod
     def from_scalar_path(cls, path: SampledPath) -> "OperatorPath":
@@ -281,8 +230,6 @@ def oscillation(path) -> float:
     values = path.values
     if values.ndim == 2 and values.shape[1] == 1:
         return float(values.max() - values.min())
-    if n <= 4096:
-        return float(path.distance_matrix().max())
     best = 0.0
     for start in range(0, n, 1024):
         block = values[start:start + 1024]
@@ -410,27 +357,27 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+@contextmanager
+def _opened(file, mode: str, **kwargs):
+    """``file`` itself, or the file of that name, opened for the block and closed."""
+    if isinstance(file, (str, bytes)):
+        with open(file, mode, **kwargs) as fh:
+            yield fh
+    else:
+        yield file
+
+
 def write_path_csv(path: SampledPath, file) -> None:
     """CSV with header ``time,v1,...,vd``, one row per sample, LF endings."""
-    own = isinstance(file, (str, bytes))
-    fh = open(file, "w", newline="") if own else file
-    try:
+    with _opened(file, "w", newline="") as fh:
         fh.write("time," + ",".join(f"v{i+1}" for i in range(path.dim)) + "\n")
         for t, row in zip(path.times, path.values):
             fh.write(_fmt(t) + "," + ",".join(_fmt(x) for x in row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_path_csv(file, norm: NormKind = NormKind.euclidean) -> SampledPath:
-    own = isinstance(file, (str, bytes))
-    fh = open(file, "r", newline="") if own else file
-    try:
+    with _opened(file, "r", newline="") as fh:
         rows = list(csv.reader(fh))
-    finally:
-        if own:
-            fh.close()
     if not rows or not rows[0] or rows[0][0] != "time":
         raise DomainError("malformed path CSV: expected header time,v1,...,vd")
     body = [r for r in rows[1:] if r]
@@ -461,21 +408,11 @@ def path_from_json_dict(obj: dict) -> SampledPath:
 
 
 def write_path_json(path: SampledPath, file) -> None:
-    own = isinstance(file, (str, bytes))
-    fh = open(file, "w", newline="") if own else file
-    try:
+    with _opened(file, "w", newline="") as fh:
         json.dump(path_to_json_dict(path), fh)
         fh.write("\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_path_json(file) -> SampledPath:
-    own = isinstance(file, (str, bytes))
-    fh = open(file, "r") if own else file
-    try:
+    with _opened(file, "r") as fh:
         return path_from_json_dict(json.load(fh))
-    finally:
-        if own:
-            fh.close()

@@ -93,6 +93,10 @@ def test_validation_errors(capsys):
     ("approx", "--fixture", "stepSplit", "--c", "nan"),
     ("ly-check", "--gen", "alpha-stable", "--n", "16", "--seed", "1",
      "--p", "1.5", "--q", "1.5", "--tol", "nan"),
+    ("ly-check", "--gen", "alpha-stable", "--n", "16", "--seed", "1",
+     "--p", "1.5", "--q", "1.5", "--tol", "inf"),
+    ("irregularity", "--gen", "alpha-stable", "--n", "16", "--seed", "1",
+     "--p", "1.5", "--q", "1.5", "--tol", "inf"),
 ])
 def test_non_finite_parameters_exit_2(capsys, argv):
     code, out, err = invoke(capsys, *argv)

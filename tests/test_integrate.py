@@ -9,7 +9,7 @@ from tvkit import (CommonJumpError, ConvergenceError, DomainError, NormKind,
                    irregularity_check, irregularity_constant, ly_constant,
                    p_tv_seminorm, partition_deviation_bound, rs_integral, rs_sum,
                    step_integral, sum_by_parts_sides, young_bound_S)
-from tvkit.integrate import _alpha_r
+from tvkit.integrate import _PathLinear, _alpha_r
 from tvkit.seminorm import c_p_const
 
 from conftest import random_step_pair
@@ -324,6 +324,14 @@ def test_constant_domain_errors():
         irregularity_constant(1.0, 1.5)
 
 
+@pytest.mark.parametrize("tol", [1.0, 1.5, math.inf])
+def test_constant_tol_outside_unit_interval_rejected(tol):
+    # the series stop on a relative term test, so tol >= 1 stops them early
+    for constant in (ly_constant, irregularity_constant):
+        with pytest.raises(DomainError):
+            constant(1.5, 1.5, tol=tol)
+
+
 # -- the two inequalities -----------------------------------------------------
 
 def test_improved_ly_constant_integrand(rng):
@@ -400,6 +408,24 @@ def test_nan_parameters_rejected():
                  lambda: ly_constant(1.5, 1.5, tol=nan),
                  lambda: SequencePair.from_lists([1.0, nan], [0.5]),
                  lambda: SequencePair.closed_form(1.5, 1.5, nan, 1.0),
-                 lambda: partition_deviation_bound(f, g, pts, tags, [nan], [0.5])):
+                 lambda: partition_deviation_bound(f, g, pts, tags, [nan], [0.5]),
+                 lambda: partition_deviation_bound(f, g, pts, [0.2, nan], [0.5], [0.5]),
+                 lambda: rs_sum(lambda t: t, lambda t: t, [0.0, 1.0], [nan]),
+                 lambda: rs_sum(f, g, pts, [nan, 0.7], completion="linear")):
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_linear_completion_rejects_nan_times():
+    lin = _PathLinear(SampledPath([0.0, 1.0], [0.0, 1.0]))
+    with pytest.raises(DomainError):
+        lin.eval_at(np.array([0.5, math.nan]))
+
+
+def test_infinite_partitions_and_intervals_rejected():
+    f, g = random_step_pair(np.random.default_rng(6))
+    for call in (lambda: rs_sum(lambda t: t, lambda t: t, [0.0, math.inf], [1.0]),
+                 lambda: rs_integral(f, g, interval=(0.0, math.inf)),
+                 lambda: rs_integral(lambda t: t, lambda t: t, interval=(-math.inf, 1.0))):
         with pytest.raises(DomainError):
             call()

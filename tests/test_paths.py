@@ -156,6 +156,16 @@ def test_oscillation_examples():
     assert oscillation(gen_fixture("circle3")) == pytest.approx(math.sqrt(3.0), abs=0)
 
 
+@pytest.mark.parametrize("n", [1000, 1030])  # one block of 1024 rows, then two
+@pytest.mark.parametrize("norm", ALL_NORMS)
+def test_oscillation_equals_distance_matrix_max(n, norm):
+    rng = np.random.default_rng(n)
+    times = np.arange(n, dtype=float)
+    for path in (SampledPath(times, rng.standard_t(2, (n, 3)), norm),
+                 OperatorPath(times, rng.standard_t(2, (n, 2, 2)), norm)):
+        assert oscillation(path) == path.distance_matrix().max()
+
+
 def test_oscillation_equals_first_profile_entry(rng):
     for _ in range(40):
         path = random_path(rng, d=int(rng.integers(1, 4)),
