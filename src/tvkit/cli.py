@@ -4,8 +4,10 @@ Every subcommand validates its flags before computing, writes a JSON report
 (CSV on request) to stdout or ``--out``, and exits 0 on success / 2 on
 validation errors with a one-line diagnostic on stderr.  Stochastic
 subcommands require an explicit ``--seed`` and identical invocations produce
-byte-identical reports.  TVKIT_MAX_LEVELS caps the refinement depth of the
-integrator (default 24).
+byte-identical reports.  Integrals of sampled pairs are exact (jump sum for
+step completions, trapezoid sum for generated linear pairs), so no subcommand
+refines a partition; ``integrate --tol`` only sets the certified tail of
+``bound_S``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import __version__
 from .approx import linear_approx, sandwich, step_approx
 from .errors import TvkitError
 from .integrate import (choose_sequences, improved_ly_check, irregularity_check,
-                        rs_integral, step_integral, young_bound_S)
+                        rs_integral, young_bound_S)
 from .paths import (NormKind, OperatorPath, SampledPath, gen_alpha_stable,
                     gen_fixture, path_to_json_dict, read_path_csv,
                     read_path_json, write_path_csv)
@@ -56,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--norm", default="euclidean",
                        help="euclidean|sup|l1 (default euclidean)")
         p.add_argument("--tol", type=float, default=1e-9,
-                       help="tolerance for refinements and series (default 1e-9)")
+                       help="tolerance of series tails and constants (default 1e-9)")
         p.add_argument("--seed", type=int, help="seed for stochastic subcommands "
                                                 "(mandatory there; no wall-clock seeding)")
         p.add_argument("--trials", type=int, default=1,
@@ -283,14 +285,9 @@ def _cmd_approx(args):
 
 def _cmd_integrate(args):
     f, g, completion = _integrand_pair(args)
-    if completion == "step":
-        value = step_integral(f, g)
-        report = {"op": "integrate", "value": value, "levels": 0, "cauchy_gap": 0.0}
-    else:
-        rep = rs_integral(f, g, tol=args.tol, completion="linear")
-        value = rep.value
-        report = {"op": "integrate", "value": value, "levels": rep.refinement_levels,
-                  "cauchy_gap": rep.cauchy_gap}
+    rep = rs_integral(f, g, tol=args.tol, completion=completion)
+    report = {"op": "integrate", "value": rep.value, "levels": rep.refinement_levels,
+              "cauchy_gap": rep.cauchy_gap}
     if args.p is not None and args.q is not None:
         seqs = choose_sequences(args.p, args.q, f, g)
         report["bound_S"] = young_bound_S(f, g, seqs, tail_tol=args.tol)

@@ -1,10 +1,11 @@
 """Riemann-Stieltjes integration of operator paths against vector paths.
 
 Integrals are limits of tagged sums sum_i f(xi_i) [g(t_i) - g(t_{i-1})].
-For step completions with disjoint jump times the limit is the finite sum of
-f(s) dg(s) over the jumps of g and is evaluated exactly; otherwise a dyadic
-refinement with left tags is used.  The module also evaluates the two-sided
-multiscale majorant
+Two sampled operands are integrated exactly: step completions with disjoint
+jump times give the finite sum of f(s) dg(s) over the jumps of g, and linear
+completions the trapezoid sum on the merged time grid.  Dyadic refinement is
+left only for operands that include a callable.  The module also evaluates
+the two-sided multiscale majorant
 
     S = 4 sum_k 3^k eta_{k-1} TTV(g, theta_k / 4)
       + 4 sum_k 3^k theta_k TTV(f, eta_k / 4)
@@ -20,7 +21,6 @@ integral.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,8 +51,6 @@ __all__ = [
 
 _SERIES_CAP = 10_000
 _GROWTH_CAP = 20
-_ENV_MAX_LEVELS = "TVKIT_MAX_LEVELS"
-_DEFAULT_MAX_LEVELS = 24
 _CHUNK = 1 << 20
 
 
@@ -150,8 +148,6 @@ def _check_partition(partition, tags) -> tuple[np.ndarray, np.ndarray]:
 
 def _require_disjoint_jumps(f, g) -> None:
     """Exact shared times at which both step paths jump are a violation."""
-    if not hasattr(f, "jump_times") or not hasattr(g, "jump_times"):
-        return
     shared = np.intersect1d(f.jump_times(), g.jump_times())
     if shared.size:
         raise CommonJumpError(f"integrand and integrator share jump times {shared[:5]}")
@@ -197,30 +193,11 @@ def rs_sum(f, g, partition, tags, completion: str = "step") -> np.ndarray:
     return np.einsum("kij,kj->i", fo, np.diff(gv, axis=0))
 
 
-def _resolve_max_levels(max_levels: int | None) -> int:
-    if max_levels is not None:
-        return int(max_levels)
-    return int(os.environ.get(_ENV_MAX_LEVELS, _DEFAULT_MAX_LEVELS))
-
-
-def _resolution_floor(fe, ge, a: float, b: float, levels: int) -> int:
-    """Smallest level whose cells separate the sampled operands' time grids.
-
-    Convergence is never accepted below this level: before the partition
-    resolves every sample time, agreeing dyadic sums say nothing.
-    """
-    knots = [np.array([a, b])]
-    for ev in (fe, ge):
-        if ev.source is not None:
-            knots.append(ev.source.times)
-    times = np.unique(np.concatenate(knots))
-    times = times[(times >= a) & (times <= b)]
-    if times.size < 2:
-        return 0
-    min_gap = float(np.min(np.diff(times)))
-    if min_gap <= 0.0:
-        return levels
-    return min(levels, max(0, math.ceil(math.log2((b - a) / min_gap))))
+def _merged_grid(fe, ge, a: float, b: float) -> np.ndarray:
+    """a, b and the sampled operands' times inside [a, b], sorted and unique."""
+    knots = [ev.source.times for ev in (fe, ge) if ev.source is not None]
+    grid = np.unique(np.concatenate([[a, b], *knots]))
+    return grid[(grid >= a) & (grid <= b)]
 
 
 @dataclass(frozen=True)
@@ -230,7 +207,6 @@ class IntegralReport:
     value: np.ndarray
     refinement_levels: int
     cauchy_gap: float
-    bound_S: float | None = None
     ly_lhs: float | None = None
     ly_rhs: float | None = None
     ratio: float | None = None
@@ -255,14 +231,32 @@ def _level_sum(fe, ge, a: float, b: float, cells: int, tag_rule: str) -> np.ndar
     return total
 
 
-def rs_integral(f, g, tol: float = 1e-9, max_levels: int | None = None,
+def _sampled_integral(fe, ge, a: float, b: float) -> np.ndarray:
+    """Exact integral over [a, b] of two sampled operands' completions.
+
+    Step completions give the jump sum; linear ones are both linear on each
+    cell of the merged grid, where int f dg = (f_i + f_{i+1})/2 [g_{i+1} - g_i].
+    Neither limit depends on the tags.
+    """
+    if isinstance(fe, _PathStep):
+        return step_integral(fe.source.restrict(a, b), ge.source.restrict(a, b))
+    grid = _merged_grid(fe, ge, a, b)
+    fo = fe.eval_at(grid)
+    return np.einsum("kij,kj->i", 0.5 * (fo[:-1] + fo[1:]),
+                     np.diff(ge.eval_at(grid), axis=0))
+
+
+def rs_integral(f, g, tol: float = 1e-9, max_levels: int = 24,
                 interval: tuple[float, float] | None = None,
                 tag_rule: str = "left", completion: str = "step") -> IntegralReport:
-    """Refinement integral: dyadic partitions until two levels agree to tol.
+    """Riemann-Stieltjes integral of f dg over ``interval`` (default: the domain).
 
-    ``max_levels=None`` reads the TVKIT_MAX_LEVELS environment variable
-    (default 24).  Sampled inputs must not share jump times; failure to reach
-    the tolerance raises rather than returning a silent value.
+    Two sampled operands are integrated exactly (jump sum of step
+    completions, trapezoid sum of linear ones on the merged grid) and report
+    0 levels and gap 0.0; step operands must not share jump times.  When
+    either operand is a callable, dyadic partitions are refined until two
+    levels in a row agree to tol; failure within ``max_levels`` raises
+    rather than returning a silent value.
     """
     if not tol > 0.0:
         raise DomainError("tol must be positive")
@@ -270,30 +264,30 @@ def rs_integral(f, g, tol: float = 1e-9, max_levels: int | None = None,
         raise DomainError("tag_rule must be left, mid, or right")
     fe = _evaluable(f, completion, operator=True)
     ge = _evaluable(g, completion, operator=False)
-    if completion == "step":
-        _require_disjoint_jumps(fe.source or f, ge.source or g)
     src = ge.source or fe.source
     if not interval and src is None:
         raise DomainError("no integration interval: pass interval=(a, b)")
     a, b = map(float, interval or (src.a, src.b))
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("integration interval must be finite with a < b")
+    if fe.source is not None and ge.source is not None:
+        return IntegralReport(value=_sampled_integral(fe, ge, a, b),
+                              refinement_levels=0, cauchy_gap=0.0)
     kind = _result_norm_kind(f, g)
-    levels = _resolve_max_levels(max_levels)
-    floor = _resolution_floor(fe, ge, a, b, levels)
+    # insist on two small gaps in a row once the cells resolve every sample
+    # time of a sampled operand: coarse dyadic sums coincide by accident
+    min_gap = float(np.min(np.diff(_merged_grid(fe, ge, a, b))))
+    floor = min(max_levels, max(0, math.ceil(math.log2((b - a) / min_gap))))
     prev = _level_sum(fe, ge, a, b, 1, tag_rule)
-    gap = math.inf
-    prev_gap = math.inf
-    for level in range(1, levels + 1):
+    gap = prev_gap = math.inf
+    for level in range(1, max_levels + 1):
         cur = _level_sum(fe, ge, a, b, 1 << level, tag_rule)
         prev_gap, gap = gap, float(vector_norm(cur - prev, kind))
-        # insist on two small gaps in a row past the sampling resolution:
-        # coarse dyadic sums of step paths coincide by accident all the time
         if gap <= tol and prev_gap <= tol and level >= floor:
             return IntegralReport(value=cur, refinement_levels=level, cauchy_gap=gap)
         prev = cur
     raise ConvergenceError(
-        f"refinement did not reach tol={tol:g} within {levels} levels (last gap {gap:g})")
+        f"refinement did not reach tol={tol:g} within {max_levels} levels (last gap {gap:g})")
 
 
 def step_integral(f, g: SampledPath) -> np.ndarray:
@@ -639,22 +633,17 @@ def _operands(f, g, p: float, q: float) -> OperatorPath:
 
 
 def improved_ly_check(f, g, p: float, q: float, tol: float = 1e-9,
-                      completion: str = "step",
-                      max_levels: int | None = None) -> IntegralReport:
+                      completion: str = "step") -> IntegralReport:
     """Compare the integral deviation with its variation-product bound.
 
-    lhs = ||int f dg - f(a)[g(b) - g(a)]|| (exact for step completions,
-    refinement otherwise); rhs = C(p,q,tol) * V^p(f)^(1-1/q) *
-    osc(f)^(1+p/q-p) * V^q(g)^(1/q).  The reported ratio lhs/rhs is at most 1
-    whenever the hypotheses hold (0/0 counts as 0).
+    lhs = ||int f dg - f(a)[g(b) - g(a)]||, with the integral taken exactly
+    (jump sum for step completions, trapezoid sum for linear ones); rhs =
+    C(p,q,tol) * V^p(f)^(1-1/q) * osc(f)^(1+p/q-p) * V^q(g)^(1/q).  The
+    reported ratio lhs/rhs is at most 1 whenever the hypotheses hold (0/0
+    counts as 0).
     """
     fop = _operands(f, g, p, q)
-    if completion == "step":
-        value = step_integral(fop, g)
-        levels, gap = 0, 0.0
-    else:
-        rep = rs_integral(fop, g, tol=tol, max_levels=max_levels, completion="linear")
-        value, levels, gap = rep.value, rep.refinement_levels, rep.cauchy_gap
+    value = rs_integral(fop, g, tol=tol, completion=completion).value
     fa = fop.eval_at(np.array([g.a]))[0]
     drift = fa @ (g.values[-1] - g.values[0])
     lhs = float(vector_norm(value - drift, g.norm))
@@ -664,7 +653,7 @@ def improved_ly_check(f, g, p: float, q: float, tol: float = 1e-9,
     c_pq = ly_constant(p, q, tol)
     rhs = c_pq * vp ** (1.0 - 1.0 / q) * osc_f ** (1.0 + p / q - p) * vq ** (1.0 / q)
     ratio = 0.0 if lhs == 0.0 else lhs / rhs
-    return IntegralReport(value=value, refinement_levels=levels, cauchy_gap=gap,
+    return IntegralReport(value=value, refinement_levels=0, cauchy_gap=0.0,
                           ly_lhs=lhs, ly_rhs=rhs, ratio=ratio, c_pq=c_pq)
 
 

@@ -178,13 +178,12 @@ class _Path:
         return self.times[1:][self.increments() > 0.0]
 
     def restrict(self, c: float, d: float) -> "_Path":
-        """Resample the step completion on the subinterval [c, d]."""
+        """Resample the step completion on the subinterval [c, d], both ends kept."""
         if not (self.a <= c < d <= self.b):
             raise DomainError("restriction interval must satisfy a <= c < d <= b")
-        inner = (self.times > c) & (self.times <= d)
-        times = np.concatenate(([c], self.times[inner]))
-        values = np.concatenate((self.eval_at(np.array([c])), self.values[inner]))
-        return type(self)(times, values, self.norm)
+        inner = self.times[(self.times > c) & (self.times < d)]
+        times = np.concatenate(([c], inner, [d]))
+        return type(self)(times, self.eval_at(times), self.norm)
 
 
 class SampledPath(_Path):
@@ -381,12 +380,12 @@ def read_path_csv(file, norm: NormKind = NormKind.euclidean) -> SampledPath:
     if not rows or not rows[0] or rows[0][0] != "time":
         raise DomainError("malformed path CSV: expected header time,v1,...,vd")
     body = [r for r in rows[1:] if r]
+    if not body or any(len(r) != len(rows[0]) for r in body):
+        raise DomainError("malformed path CSV: ragged rows")
     try:
         data = np.array([[float(x) for x in r] for r in body])
     except ValueError as exc:
         raise DomainError(f"malformed path CSV: {exc}") from None
-    if data.ndim != 2 or data.shape[1] != len(rows[0]):
-        raise DomainError("malformed path CSV: ragged rows")
     return SampledPath(data[:, 0], data[:, 1:], norm)
 
 

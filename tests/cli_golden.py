@@ -11,7 +11,7 @@ Input files are drawn from a seeded generator into a temporary directory, so
 the corpus holds argv lists and outputs only; ``{tmp}`` in an argv stands for
 that directory and ``<tmp>`` replaces its path in stderr.  Each invocation
 runs in-process with COLUMNS=80 (argparse wraps its usage lines to the
-terminal width) and TVKIT_MAX_LEVELS unset unless the case sets it.
+terminal width).
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ def _pair(d: int) -> list[str]:
 
 
 def cases() -> list[dict]:
-    """Every recorded invocation: ``argv`` and, where set, ``env``."""
+    """Every recorded invocation, as ``{"argv": [...]}``."""
     out = []
 
-    def add(*argv, env=None):
-        out.append({"argv": list(argv), **({"env": env} if env else {})})
+    def add(*argv):
+        out.append({"argv": list(argv)})
 
     for norm in NORMS:
         nv = ("--norm", norm)
@@ -99,7 +99,7 @@ def cases() -> list[dict]:
     add("irregularity", *_pair(1), "--p", "1.7", "--q", "1.4")
     add("gen", "--fixture", "stepSplit")
     add("gen", "--gen", "alpha-stable", "--n", "12", "--alpha", "1.5", "--seed", "3")
-    # generated pairs: linear completion (refinement) and staggered steps
+    # generated pairs: linear completion (trapezoid sum) and staggered steps
     add("integrate", "--gen", "alpha-stable", "--n", "48", "--seed", "5", "--tol", "1e-3")
     add("integrate", "--gen", "alpha-stable", "--n", "32", "--seed", "6", "--tol", "1e-3",
         "--p", "1.6", "--q", "1.6")
@@ -110,9 +110,8 @@ def cases() -> list[dict]:
     add("irregularity", "--gen", "alpha-stable", "--n", "32", "--seed", "9",
         "--p", "1.5", "--q", "1.5", "--trials", "3")
     add("pvar", "--gen", "alpha-stable", "--n", "32", "--seed", "2", "--p", "2", "--trials", "2")
+    add("integrate", "--gen", "alpha-stable", "--n", "48", "--seed", "5", "--tol", "1e-12")
     # error exits
-    add("integrate", "--gen", "alpha-stable", "--n", "48", "--seed", "5", "--tol", "1e-12",
-        env={"TVKIT_MAX_LEVELS": "6"})
     add("ly-check", *_pair(1), "--p", "1.5", "--q", "1.5", "--tol", "inf")
     add("irregularity", *_pair(1), "--p", "1.5", "--q", "1.5", "--tol", "1.5")
     add("ly-check", *_pair(1), "--p", "2", "--q", "2")
@@ -136,11 +135,8 @@ def cases() -> list[dict]:
 def invoke(case: dict, root: Path) -> dict:
     """Run one case in-process; the record of its exit code, stdout and stderr."""
     argv = [a.replace("{tmp}", str(root)) for a in case["argv"]]
-    keys = ("COLUMNS", "TVKIT_MAX_LEVELS")
-    saved = {k: os.environ.get(k) for k in keys}
+    saved = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"
-    os.environ.pop("TVKIT_MAX_LEVELS", None)
-    os.environ.update(case.get("env", {}))
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -148,11 +144,10 @@ def invoke(case: dict, root: Path) -> dict:
             warnings.simplefilter("always")
             code = run(argv)
     finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+        if saved is None:
+            os.environ.pop("COLUMNS", None)
+        else:
+            os.environ["COLUMNS"] = saved
     stderr = err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
     return {**case, "code": code, "stdout": out.getvalue(),
             "stderr": stderr.replace(str(root), "<tmp>")}
@@ -166,9 +161,9 @@ def main(argv=None) -> int:
         write_inputs(Path(tmp))
         records = [invoke(case, Path(tmp)) for case in cases()]
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
-    old_by_argv = {json.dumps([r["argv"], r.get("env")]): r for r in old}
+    old_by_argv = {json.dumps(r["argv"]): r for r in old}
     for rec in records:
-        prev = old_by_argv.get(json.dumps([rec["argv"], rec.get("env")]))
+        prev = old_by_argv.get(json.dumps(rec["argv"]))
         if prev != rec:
             print(("new: " if prev is None else "changed: ") + " ".join(rec["argv"]))
     if args.write:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tvkit import SampledPath, read_path_csv, write_path_csv
+from tvkit import SampledPath, gen_alpha_stable, read_path_csv, write_path_csv
 from tvkit.cli import run
 
 
@@ -135,6 +135,20 @@ def test_integrate_two_csv_inputs(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["value"] == [2.0]
     assert rep["bound_S"] >= 2.0 - rep["value"][0] * 0.0  # present and finite
+
+
+@pytest.mark.parametrize("n, alpha, seed, tol", [(512, 1.8, 7, 1e-6), (4097, 2.0, 3, 2e-3)])
+def test_integrate_gen_is_the_trapezoid_sum(capsys, n, alpha, seed, tol):
+    code, out, err = invoke(capsys, "integrate", "--gen", "alpha-stable", "--n", str(n),
+                            "--alpha", str(alpha), "--seed", str(seed), "--tol", str(tol))
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["levels"] == 0 and rep["cauchy_gap"] == 0.0
+    f_seed, g_seed = np.random.SeedSequence(seed).spawn(2)
+    f = gen_alpha_stable(n, alpha, seed=f_seed).values[:, 0]
+    g = gen_alpha_stable(n, alpha, seed=g_seed).values[:, 0]
+    trapezoid = np.sum(0.5 * (f[:-1] + f[1:]) * np.diff(g))
+    assert rep["value"][0] == pytest.approx(trapezoid, rel=1e-12)
 
 
 def test_ly_check_gen(capsys):

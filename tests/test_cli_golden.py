@@ -17,7 +17,7 @@ def inputs(tmp_path_factory):
 
 
 def test_corpus_lists_every_case():
-    assert [{k: r[k] for k in ("argv", "env") if k in r} for r in RECORDS] == cases()
+    assert [{"argv": r["argv"]} for r in RECORDS] == cases()
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=[" ".join(r["argv"]) for r in RECORDS])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvkit import (CommonJumpError, ConvergenceError, DomainError, NormKind,
                    OperatorPath, SampledPath, SequencePair, SeriesError,
@@ -12,7 +14,7 @@ from tvkit import (CommonJumpError, ConvergenceError, DomainError, NormKind,
 from tvkit.integrate import _PathLinear, _alpha_r
 from tvkit.seminorm import c_p_const
 
-from conftest import random_step_pair
+from conftest import ALL_NORMS, random_step_pair
 
 
 def drift_term(f: OperatorPath, g: SampledPath) -> np.ndarray:
@@ -110,10 +112,106 @@ def test_integral_reports_nonconvergence():
         rs_integral(wiggle, wiggle, tol=1e-14, max_levels=4, interval=(0.0, 1.0))
 
 
-def test_max_levels_env(monkeypatch):
-    monkeypatch.setenv("TVKIT_MAX_LEVELS", "3")
-    with pytest.raises(ConvergenceError):
-        rs_integral(lambda t: t, lambda t: t, tol=1e-12, interval=(0.0, 1.0))
+# -- exact integrals of sampled pairs --------------------------------------------
+
+def trapezoid_oracle(f: OperatorPath, g: SampledPath, a: float, b: float) -> np.ndarray:
+    """sum (f_i + f_{i+1})/2 [g_{i+1} - g_i] on the merged grid clipped to [a, b]."""
+    grid = np.union1d(np.union1d(f.times, g.times), [a, b])
+    grid = grid[(grid >= a) & (grid <= b)]
+    fv = np.stack([np.interp(grid, f.times, col) for col in f.values.reshape(f.n, -1).T],
+                  axis=-1).reshape((grid.size,) + f.values.shape[1:])
+    gv = np.stack([np.interp(grid, g.times, col) for col in g.values.T], axis=-1)
+    total = np.zeros(g.dim)
+    for k in range(grid.size - 1):
+        total += 0.5 * (fv[k] + fv[k + 1]) @ (gv[k + 1] - gv[k])
+    return total
+
+
+def jump_sum_oracle(f: OperatorPath, g: SampledPath, a: float, b: float) -> np.ndarray:
+    """sum over the samples of g in (a, b] of f(s) [g(s) - g(s-)] (step completions)."""
+    total = np.zeros(g.dim)
+    for k in range(1, g.n):
+        s = g.times[k]
+        if a < s <= b:
+            fs = f.values[np.searchsorted(f.times, s, side="right") - 1]
+            total += fs @ (g.values[k] - g.values[k - 1])
+    return total
+
+
+@st.composite
+def sampled_pairs(draw):
+    """Operator/vector pair on [0, 1] on different grids with disjoint interior times.
+
+    f's interior times are even and g's odd multiples of 1/128, so no time is
+    shared except the endpoints, where both paths hold their last value.
+    """
+    d = draw(st.integers(1, 3))
+    norm = draw(st.sampled_from(ALL_NORMS))
+    nf = draw(st.integers(0, 12))
+    ng = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tf = np.concatenate(([0.0], np.sort(rng.choice(np.arange(2, 128, 2), nf, replace=False))
+                         / 128.0, [1.0]))
+    tg = np.concatenate(([0.0], np.sort(rng.choice(np.arange(1, 128, 2), ng, replace=False))
+                         / 128.0, [1.0]))
+    fv = rng.normal(size=(nf + 1, d, d))
+    gv = rng.normal(size=(ng + 1, d))
+    f = OperatorPath(tf, np.concatenate((fv, fv[-1:])), norm)
+    g = SampledPath(tg, np.concatenate((gv, gv[-1:])), norm)
+    return f, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_pairs())
+def test_linear_pairs_integrate_to_the_merged_trapezoid(pair):
+    f, g = pair
+    rep = rs_integral(f, g, completion="linear")
+    exact = trapezoid_oracle(f, g, 0.0, 1.0)
+    assert rep.refinement_levels == 0 and rep.cauchy_gap == 0.0
+    assert np.abs(rep.value - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
+    # the dyadic refinement, kept for pairs with a callable, reaches the same
+    # limit.  Every knot lies on level 7; from there both completions are
+    # linear on every cell and the left-tag error is exactly A h, so each later
+    # gap equals the error left.  f resampled on the 1/256 grid sets the
+    # resolution floor at 8, so only such gaps can stop the refinement
+    tol = 1e-3
+    grid = np.arange(257) / 256.0
+    f_fine = OperatorPath(grid, _PathLinear(f).eval_at(grid), f.norm)
+    dyadic = rs_integral(f_fine, _PathLinear(g).eval_at, tol=tol, completion="linear")
+    assert dyadic.refinement_levels >= 8
+    assert np.abs(dyadic.value - exact).max() <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_pairs())
+def test_step_pairs_integrate_to_the_jump_sum(pair):
+    f, g = pair
+    rep = rs_integral(f, g, tag_rule="right")
+    exact = jump_sum_oracle(f, g, 0.0, 1.0)
+    assert rep.refinement_levels == 0 and rep.cauchy_gap == 0.0
+    assert np.abs(rep.value - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
+
+
+@pytest.mark.parametrize("completion", ["step", "linear"])
+def test_integral_over_an_inner_interval(rng, completion):
+    oracle = jump_sum_oracle if completion == "step" else trapezoid_oracle
+    for _ in range(20):
+        f, g = random_step_pair(rng, d=int(rng.integers(1, 4)))
+        a, b = np.sort(rng.uniform(0.05, 0.95, 2))
+        rep = rs_integral(f, g, interval=(a, b), completion=completion)
+        assert rep.refinement_levels == 0 and rep.cauchy_gap == 0.0
+        if completion == "step":
+            assert np.array_equal(rep.value, step_integral(f.restrict(a, b), g.restrict(a, b)))
+        exact = oracle(f, g, a, b)
+        assert np.abs(rep.value - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
+
+
+@pytest.mark.parametrize("completion", ["step", "linear"])
+@pytest.mark.parametrize("interval", [(-0.5, 0.5), (0.5, 1.5), (2.0, 3.0)])
+def test_integral_interval_outside_domain_rejected(rng, completion, interval):
+    f, g = random_step_pair(rng)
+    with pytest.raises(DomainError):
+        rs_integral(f, g, interval=interval, completion=completion)
 
 
 def test_step_integral_examples():
@@ -354,7 +452,10 @@ def test_improved_ly_linear_completion():
     g = gen_alpha_stable(128, 1.8, seed=22)
     rep = improved_ly_check(f, g, 1.9, 1.9, tol=1e-3, completion="linear")
     assert rep.ratio <= 1.0
-    assert rep.refinement_levels > 0
+    assert rep.refinement_levels == 0
+    trapezoid = np.einsum("kij,kj->i", 0.5 * (f.values[:-1] + f.values[1:]),
+                          np.diff(g.values, axis=0))
+    assert np.allclose(rep.value, trapezoid, rtol=1e-12, atol=0.0)
 
 
 def test_norm_kind_mismatch_rejected(rng):

@@ -143,8 +143,11 @@ def test_step_eval_and_restrict():
     with pytest.raises(DomainError):
         p.eval_at([2.1])
     r = p.restrict(0.5, 1.5)
-    assert r.times.tolist() == [0.5, 1.0]
-    assert r.values.ravel().tolist() == [5.0, 7.0]
+    assert r.times.tolist() == [0.5, 1.0, 1.5]
+    assert r.values.ravel().tolist() == [5.0, 7.0, 7.0]
+    assert r.eval_at([1.2, 1.5]).ravel().tolist() == [7.0, 7.0]
+    # no sample inside: the restriction still spans [c, d]
+    assert p.restrict(0.2, 0.7).times.tolist() == [0.2, 0.7]
     # restriction sharing a sample keeps it once
     r2 = p.restrict(1.0, 2.0)
     assert r2.times.tolist() == [1.0, 2.0]
@@ -297,3 +300,12 @@ def test_csv_malformed():
         read_path_csv(io.StringIO("wrong,header\n1,2\n"))
     with pytest.raises(DomainError):
         read_path_csv(io.StringIO("time,v1\n1,abc\n"))
+
+
+@pytest.mark.parametrize("text", ["time,v1\n0.0,1.0\n1.0\n",
+                                  "time,v1\n0.0,1.0,2.0\n1.0,2.0,3.0\n",
+                                  "time,v1,v2\n0.0,1.0\n1.0,2.0,3.0\n",
+                                  "time,v1\n"])
+def test_csv_ragged_rows(text):
+    with pytest.raises(DomainError, match=r"^malformed path CSV: ragged rows$"):
+        read_path_csv(io.StringIO(text))
