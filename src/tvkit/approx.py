@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .paths import SampledPath
-from .variation import ttv
+from .variation import ttv_profile
 
 __all__ = [
     "GreedySkeleton",
@@ -250,8 +250,9 @@ def sandwich(path: SampledPath, c: float, lambdas=(2.0,)) -> SandwichReport:
     lams = tuple(float(l) for l in lambdas)
     if not lams or not all(l > 1.0 for l in lams):
         raise DomainError("each lambda must exceed 1")
-    lower = ttv(path, c)
-    upper = min(l * ttv(path, (l - 1.0) * c / (2.0 * l)) for l in lams)
+    reads = ttv_profile(path).ttv([c] + [(l - 1.0) * c / (2.0 * l) for l in lams])
+    lower = float(reads[0])
+    upper = min(l * float(t) for l, t in zip(lams, reads[1:]))
     witness = step_approx(path, c).tv
     return SandwichReport(lower=lower, upper=upper, witness_tv=witness,
                           c=float(c), lambdas=lams)

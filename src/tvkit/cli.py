@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"tvkit {__version__}")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, tol=False, trials=False):
         p.add_argument("--input", action="append", default=[],
                        help="path file (CSV: time,v1,..,vd; or JSON); repeat "
                             "for integrand+integrator pairs")
@@ -57,12 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="time horizon for --gen (default 1.0)")
         p.add_argument("--norm", default="euclidean",
                        help="euclidean|sup|l1 (default euclidean)")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="tolerance of series tails and constants (default 1e-9)")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-9,
+                           help="tolerance of series tails and constants (default 1e-9)")
         p.add_argument("--seed", type=int, help="seed for stochastic subcommands "
                                                 "(mandatory there; no wall-clock seeding)")
-        p.add_argument("--trials", type=int, default=1,
-                       help="independent seeded trials (default 1)")
+        if trials:
+            p.add_argument("--trials", type=int, default=1,
+                           help="independent seeded trials (default 1)")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
                        help="output format (default json)")
         p.add_argument("--out", help="write the report to this file instead of stdout")
@@ -96,17 +98,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integrate", help="Riemann-Stieltjes integral of f dg")
     p.add_argument("--p", type=float, help="integrand variation exponent (enables bound_S)")
     p.add_argument("--q", type=float, help="integrator variation exponent (enables bound_S)")
-    common(p)
+    common(p, tol=True)
 
     p = sub.add_parser("ly-check", help="integral deviation vs. variation-product bound")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
-    common(p)
+    common(p, tol=True, trials=True)
 
     p = sub.add_parser("irregularity", help="seminorm transfer to the indefinite integral")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
-    common(p)
+    common(p, tol=True, trials=True)
 
     p = sub.add_parser("gen", help="emit a generated or built-in path")
     common(p)
@@ -228,6 +230,8 @@ def _flatten(obj, prefix=""):
 
 def _with_trials(args, one_trial):
     """Run one_trial per derived seed; ordering is by trial index."""
+    if args.trials < 1:
+        raise TvkitError("--trials must be at least 1")
     if args.trials == 1:
         return one_trial(None)
     base = np.random.SeedSequence(_require_seed(args))
@@ -347,8 +351,6 @@ def run(argv=None) -> int:
         # argparse exits 2 on bad flags and 0 on --help; keep its codes
         return int(exc.code or 0)
     try:
-        if args.trials < 1:
-            raise TvkitError("--trials must be at least 1")
         report = _HANDLERS[args.subcommand](args)
         text = report["__raw__"] if isinstance(report, dict) and "__raw__" in report \
             else _emit(report, args)

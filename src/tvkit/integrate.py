@@ -115,6 +115,8 @@ class _Func:
 
 def _evaluable(x, completion: str, operator: bool):
     """Adapter sampling an integrand (``operator``) or an integrator at any times."""
+    if completion not in ("step", "linear"):
+        raise DomainError(f"unknown completion {completion!r}; expected step or linear")
     if operator and isinstance(x, SampledPath):
         x = OperatorPath.from_scalar_path(x)
     if isinstance(x, OperatorPath if operator else SampledPath):
@@ -255,8 +257,9 @@ def rs_integral(f, g, tol: float = 1e-9, max_levels: int = 24,
     completions, trapezoid sum of linear ones on the merged grid) and report
     0 levels and gap 0.0; step operands must not share jump times.  When
     either operand is a callable, dyadic partitions are refined until two
-    levels in a row agree to tol; failure within ``max_levels`` raises
-    rather than returning a silent value.
+    levels in a row agree to tol (failure within ``max_levels`` raises); that
+    result is a Cauchy-stopped estimate, not a certified value, because coarse
+    sums can agree by accident (the README gives an example).
     """
     if not tol > 0.0:
         raise DomainError("tol must be positive")
@@ -299,8 +302,6 @@ def step_integral(f, g: SampledPath) -> np.ndarray:
     fop = _as_operator(f)
     _require_disjoint_jumps(fop, g)
     jumps = np.nonzero(g.increments() > 0.0)[0] + 1
-    if jumps.size == 0:
-        return np.zeros(g.dim)
     fo = fop.eval_at(g.times[jumps])
     dg = g.values[jumps] - g.values[jumps - 1]
     return np.einsum("kij,kj->i", fo, dg)
@@ -312,8 +313,6 @@ def indefinite_integral(f, g: SampledPath) -> SampledPath:
     _require_disjoint_jumps(fop, g)
     fa = fop.eval_at(np.array([g.a]))[0]
     jumps = np.nonzero(g.increments() > 0.0)[0] + 1
-    if jumps.size == 0:
-        return SampledPath(g.times[:1], np.zeros((1, g.dim)), g.norm)
     fo = fop.eval_at(g.times[jumps]) - fa
     dg = g.values[jumps] - g.values[jumps - 1]
     terms = np.einsum("kij,kj->ki", fo, dg)
@@ -440,14 +439,9 @@ def _tail_bound(seqs: SequencePair, k: int, tv_f: float, tv_g: float) -> float |
     if seqs.mode == "zero":
         return 0.0
     if seqs.mode == "explicit":
-        eta_side = 0.0 if (tv_g == 0.0 or seqs.eta(k) == 0.0) else None
-        last = seqs.max_index
-        theta_done = tv_f == 0.0 or (k < last and seqs.theta(k + 1) == 0.0) \
-            or (k >= last and seqs.theta(last) == 0.0)
-        theta_side = 0.0 if theta_done else None
-        if eta_side is None or theta_side is None:
-            return None
-        return 0.0
+        eta_done = tv_g == 0.0 or seqs.eta(k) == 0.0
+        theta_done = tv_f == 0.0 or seqs.theta(min(k + 1, seqs.max_index)) == 0.0
+        return 0.0 if eta_done and theta_done else None
     # closed form: the term ratios 3 eta(k+1)/eta(k) decrease in k, so once
     # below 1 the remainder is dominated by a geometric series.
     a1 = 4.0 * tv_g * 3.0 ** (k + 1) * seqs.eta(k)
@@ -535,13 +529,12 @@ def partition_deviation_bound(f, g, partition, tags, deltas, epsilons) -> float:
     fr = fop.restrict(c, d)
     gr = g.restrict(c, d)
     delta_prev = 0.5 * float(np.max(fr.norm_of(fr.values - fr.values[0])))
-    prof_f = ttv_profile(fr)
-    prof_g = ttv_profile(gr)
+    ttv_f = ttv_profile(fr).ttv(ds / 4.0)
+    ttv_g = ttv_profile(gr).ttv(es / 4.0)
     n = pts.size - 1
     bound = 0.0
     for k in range(ds.size):
-        bound += 4.0 * 3.0 ** k * (delta_prev * prof_g.ttv(es[k] / 4.0)
-                                   + es[k] * prof_f.ttv(ds[k] / 4.0))
+        bound += 4.0 * 3.0 ** k * (delta_prev * ttv_g[k] + es[k] * ttv_f[k])
         delta_prev = ds[k]
     return bound + n * float(ds[-1]) * float(es[-1])
 

@@ -221,20 +221,20 @@ class OperatorPath(_Path):
         return cls(path.times, path.values.reshape(path.n, d, d), path.norm)
 
 
+def _distance_columns(path):
+    """Yield (j, distance_matrix()[:j, j]) for j = 1..n-1, the same floats
+    built one column at a time, so the memory is O(n), not O(n^2)."""
+    values = path.values
+    for j in range(1, path.n):
+        yield j, path.norm_of(values[j] - values[:j])
+
+
 def oscillation(path) -> float:
     """Largest distance between any two values of the path."""
-    n = path.n
-    if n < 2:
-        return 0.0
     values = path.values
     if values.ndim == 2 and values.shape[1] == 1:
         return float(values.max() - values.min())
-    best = 0.0
-    for start in range(0, n, 1024):
-        block = values[start:start + 1024]
-        diffs = values[None, :, ...] - block[:, None, ...]
-        best = max(best, float(path.norm_of(diffs).max()))
-    return best
+    return max((float(dist.max()) for _, dist in _distance_columns(path)), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .variation import ttv_profile
+from .variation import c_p_const, ttv_profile
 
 __all__ = [
     "SeminormReport",
@@ -29,15 +29,6 @@ __all__ = [
     "p_tv_seminorm",
     "tv_p_norm",
 ]
-
-
-def c_p_const(p: float) -> float:
-    """(p-1)^(p-1) / p^p, the sharp constant of the single-jump supremum."""
-    if not 1.0 <= p < math.inf:
-        raise DomainError("p must be finite and at least 1")
-    if p == 1.0:
-        return 1.0
-    return (p - 1.0) ** (p - 1.0) / p ** p
 
 
 def sup_delta_single(x: float, p: float) -> float:
@@ -84,16 +75,8 @@ def p_tv_seminorm(path, p: float) -> SeminormReport:
     """
     if not 1.0 <= p < math.inf:
         raise DomainError("p must be finite and at least 1")
-    prof = ttv_profile(path)
-    if prof.K == 0 or prof.total_variation == 0.0:
-        return SeminormReport(value=0.0, p=float(p))
-    ks = np.arange(1, prof.K + 1, dtype=float)
-    candidates = c_p_const(p) ** (1.0 / p) * prof.M / ks ** (1.0 - 1.0 / p)
-    i = int(np.argmax(candidates))
-    k_star = i + 1
-    delta_star = float(prof.M[i]) * (p - 1.0) / (k_star * p)
-    return SeminormReport(value=float(candidates[i]), p=float(p),
-                          argmax_k=k_star, argmax_delta=delta_star)
+    value, k, delta = ttv_profile(path).sup_weighted(p)
+    return SeminormReport(value=value, p=float(p), argmax_k=k, argmax_delta=delta)
 
 
 def tv_p_norm(path, p: float) -> float:

@@ -6,7 +6,8 @@ points between samples never help because the path is constant there).  The
 truncated variation is served through the pair profile M_1 <= ... <= M_K,
 where M_k is the largest sum of k increment norms over k disjoint ordered
 index pairs; then TTV(c) = max(0, max_k (M_k - k c)) for every threshold c at
-once.  A 2^n enumeration oracle is provided for tests.
+once.  p- and phi-variation run one subsequence DP over distance columns;
+a 2^n enumeration oracle is provided for tests.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
+from .paths import _distance_columns
 
 __all__ = [
     "TtvProfile",
@@ -54,14 +56,37 @@ class TtvProfile:
     def total_variation(self) -> float:
         return float(self.M[-1]) if self.K else 0.0
 
-    def ttv(self, c: float) -> float:
-        """Truncated variation at threshold c, read off the profile."""
-        if not c >= 0.0:
+    def ttv(self, c):
+        """Truncated variation at threshold c, read off the profile; for an
+        array of thresholds, the array of the one-threshold reads."""
+        cs = np.asarray(c, dtype=float)
+        if not np.all(cs >= 0.0):
             raise DomainError("threshold c must be nonnegative")
-        if self.K == 0:
-            return 0.0
         ks = np.arange(1, self.K + 1)
-        return float(max(0.0, np.max(self.M - c * ks)))
+        best = np.max(self.M - cs[..., None] * ks, axis=-1, initial=-np.inf)
+        out = np.where(best > 0.0, best, 0.0)
+        return float(out) if cs.ndim == 0 else out
+
+    def sup_weighted(self, p: float) -> tuple[float, int | None, float | None]:
+        """(value, k, delta) of the seminorm (sup_delta delta^(p-1) TTV(delta))^(1/p):
+        value = max_k c_p^(1/p) M_k / k^(1-1/p) at k, attained at delta = M_k (p-1)/(k p);
+        (0.0, None, None) when the profile has no nonzero increment."""
+        cp = c_p_const(p)
+        if self.total_variation == 0.0:
+            return 0.0, None, None
+        ks = np.arange(1, self.K + 1, dtype=float)
+        candidates = cp ** (1.0 / p) * self.M / ks ** (1.0 - 1.0 / p)
+        k = int(np.argmax(candidates)) + 1
+        return float(candidates[k - 1]), k, float(self.M[k - 1]) * (p - 1.0) / (k * p)
+
+
+def c_p_const(p: float) -> float:
+    """(p-1)^(p-1) / p^p, the sharp constant of the single-jump supremum."""
+    if not 1.0 <= p < math.inf:
+        raise DomainError("p must be finite and at least 1")
+    if p == 1.0:
+        return 1.0
+    return (p - 1.0) ** (p - 1.0) / p ** p
 
 
 def _pair_profile(dist: np.ndarray) -> np.ndarray:
@@ -71,8 +96,6 @@ def _pair_profile(dist: np.ndarray) -> np.ndarray:
     endpoint is <= j; consecutive pairs may share an endpoint.
     """
     n = dist.shape[0]
-    if n < 2:
-        return np.zeros(0)
     gains = np.where(np.triu(np.ones((n, n), dtype=bool), k=1), dist, -np.inf)
     best = np.zeros(n)
     profile = np.empty(n - 1)
@@ -111,11 +134,9 @@ def subsequence_sup_brute(path, weight: Callable[[float], float]) -> float:
     n = path.n
     if n > _BRUTE_MAX_SAMPLES:
         raise DomainError(f"brute enumeration limited to {_BRUTE_MAX_SAMPLES} samples")
-    dist = path.distance_matrix()
     w = np.zeros((n, n))
-    for i in range(n):
-        for k in range(i + 1, n):
-            w[i, k] = weight(float(dist[i, k]))
+    for k, dist in _distance_columns(path):
+        w[:k, k] = [weight(float(x)) for x in dist]
     totals = np.zeros(1 << n)
     top = np.zeros(1 << n, dtype=int)   # highest sample of each mask
     for k in range(n):
@@ -133,12 +154,15 @@ def ttv_brute(path, c: float) -> float:
     return subsequence_sup_brute(path, lambda d: max(d - c, 0.0))
 
 
-def _subsequence_dp(weights: np.ndarray) -> float:
-    """Best-sum-over-subsequences DP on a nonnegative weight matrix."""
-    n = weights.shape[0]
-    best = np.zeros(n)
-    for j in range(1, n):
-        best[j] = np.max(best[:j] + weights[:j, j])
+def _subsequence_sup(path, weight: Callable[[np.ndarray], np.ndarray]) -> float:
+    """sup over index subsequences of the summed pair weights weight(distance).
+
+    best[j] is the best sum over subsequences ending at sample j; the
+    distances to sample j are built one column at a time.
+    """
+    best = np.zeros(path.n)
+    for j, dist in _distance_columns(path):
+        best[j] = np.max(best[:j] + weight(dist))
     return float(best.max(initial=0.0))
 
 
@@ -149,9 +173,7 @@ def p_variation(path, p: float) -> float:
     """
     if not 1.0 <= p < math.inf:
         raise DomainError("p must be finite and at least 1")
-    if path.n < 2:
-        return 0.0
-    return _subsequence_dp(path.distance_matrix() ** p)
+    return _subsequence_sup(path, lambda dist: dist ** p)
 
 
 @dataclass(frozen=True)
@@ -221,6 +243,4 @@ def phi_variation(path, phi: PhiSpec) -> float:
     """Discrete phi-variation via the subsequence DP with weight phi."""
     if abs(float(phi_value(phi, 0.0))) != 0.0:
         raise DomainError("phi(0) must be 0")
-    if path.n < 2:
-        return 0.0
-    return _subsequence_dp(np.asarray(phi_value(phi, path.distance_matrix())))
+    return _subsequence_sup(path, lambda dist: phi_value(phi, dist))

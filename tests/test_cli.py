@@ -104,13 +104,30 @@ def test_non_finite_parameters_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("seminorm", "--fixture", "stepSplit", "--p", "2"),
-    ("ttv", "--fixture", "stepSplit", "--c", "0.5"),
-    ("gen", "--fixture", "stepSplit"),
+    ("ly-check", "--gen", "alpha-stable", "--n", "16", "--seed", "1", "--p", "1.5",
+     "--q", "1.5"),
+    ("irregularity", "--gen", "alpha-stable", "--n", "16", "--seed", "1", "--p", "1.5",
+     "--q", "1.5"),
+    ("ly-check", "--fixture", "stepSplit", "--p", "1.5", "--q", "1.5"),
 ])
 def test_trials_must_be_positive(capsys, argv):
     code, out, err = invoke(capsys, *argv, "--trials", "0")
-    assert code == 2 and out == "" and "--trials" in err
+    assert code == 2 and out == "" and err == "tvkit: error: --trials must be at least 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("seminorm", "--gen", "alpha-stable", "--n", "32", "--seed", "1", "--p", "2",
+     "--trials", "3"),
+    ("integrate", "--gen", "alpha-stable", "--n", "32", "--seed", "1", "--trials", "3"),
+    ("ttv", "--fixture", "stepSplit", "--c", "0.5", "--trials", "0"),
+    ("gen", "--fixture", "stepSplit", "--trials", "1"),
+    ("pvar", "--fixture", "stepSplit", "--p", "2", "--tol", "5"),
+    ("approx", "--fixture", "stepSplit", "--c", "0.5", "--tol", "1e-3"),
+])
+def test_flags_only_where_read(capsys, argv):
+    # --trials belongs to ly-check and irregularity, --tol also to integrate
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
 def test_unknown_flag_rejected(capsys):

@@ -52,6 +52,21 @@ def test_rs_sum_validation():
         rs_sum(lambda t: t, g, [0.0, 0.5, 1.0], [0.6, 0.7])
 
 
+_STEP_F = OperatorPath([0.0, 0.25, 1.0], np.array([0.0, 1.0, 1.0]))
+_STEP_G = SampledPath([0.0, 0.5, 1.0], [0.0, 2.0, 2.0])
+
+
+@pytest.mark.parametrize("completion", ["lineer", "Linear", "", None])
+@pytest.mark.parametrize("call", [
+    lambda c: rs_sum(_STEP_F, _STEP_G, [0.0, 0.5, 1.0], [0.0, 0.5], completion=c),
+    lambda c: rs_integral(_STEP_F, _STEP_G, completion=c),
+    lambda c: improved_ly_check(_STEP_F, _STEP_G, 1.5, 1.5, completion=c),
+], ids=["rs_sum", "rs_integral", "improved_ly_check"])
+def test_unknown_completion_rejected(call, completion):
+    with pytest.raises(DomainError, match="completion"):
+        call(completion)
+
+
 def test_sum_by_parts_identity(rng):
     for _ in range(60):
         n = int(rng.integers(1, 21))

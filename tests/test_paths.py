@@ -159,7 +159,7 @@ def test_oscillation_examples():
     assert oscillation(gen_fixture("circle3")) == pytest.approx(math.sqrt(3.0), abs=0)
 
 
-@pytest.mark.parametrize("n", [1000, 1030])  # one block of 1024 rows, then two
+@pytest.mark.parametrize("n", [1000, 1030])  # one distance column at a time
 @pytest.mark.parametrize("norm", ALL_NORMS)
 def test_oscillation_equals_distance_matrix_max(n, norm):
     rng = np.random.default_rng(n)

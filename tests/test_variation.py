@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from tvkit import (DomainError, PhiSpec, SampledPath, gen_fixture, oscillation,
-                   p_variation, phi_value, phi_variation, subsequence_sup_brute,
-                   total_variation, ttv, ttv_brute, ttv_profile)
+from tvkit import (DomainError, OperatorPath, PhiSpec, SampledPath, gen_fixture,
+                   oscillation, p_tv_seminorm, p_variation, phi_value, phi_variation,
+                   subsequence_sup_brute, total_variation, ttv, ttv_brute, ttv_profile)
 
 from conftest import ALL_NORMS, random_pair_shared_times, random_path
 
@@ -247,3 +250,99 @@ def test_nan_parameters_rejected():
             p_variation(path, p)
     with pytest.raises(DomainError):
         phi_value(PhiSpec.family(1, 2.0, 2.0), nan)
+
+
+# -- differential checks of the column kernel and the batched profile read ---
+
+# components are 0 or at least 1e-100 in size, so squared differences stay
+# normal numbers and the scalar oscillation branch (max - min) equals the
+# largest euclidean distance exactly
+_component = st.floats(-1e3, 1e3).map(lambda x: 0.0 if abs(x) < 1e-100 else x)
+
+
+@st.composite
+def sampled_paths(draw, max_n=12):
+    """Vector paths with d = 1..3 or 1x1 / 2x2 operator paths, any norm."""
+    n = draw(st.integers(1, max_n))
+    norm = draw(st.sampled_from(ALL_NORMS))
+    times = np.arange(n, dtype=float)
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 3))
+        return SampledPath(times, draw(arrays(np.float64, (n, d), elements=_component)), norm)
+    d = draw(st.integers(1, 2))
+    return OperatorPath(times, draw(arrays(np.float64, (n, d, d), elements=_component)), norm)
+
+
+def _matrix_sup(path, weight):
+    """The subsequence DP on the whole n x n weight matrix: the oracle the
+    column kernel must reproduce bit for bit."""
+    weights = np.asarray(weight(path.distance_matrix()))
+    best = np.zeros(path.n)
+    for j in range(1, path.n):
+        best[j] = np.max(best[:j] + weights[:j, j])
+    return float(best.max(initial=0.0))
+
+
+_PHIS = (PhiSpec.family(1, 2.0, 1.5), PhiSpec.family(2, 1.3, 2.5),
+         PhiSpec.custom(lambda x: np.asarray(x) ** 1.5 * np.log1p(np.asarray(x)),
+                        admissible=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_paths(), st.floats(1.0, 4.0))
+def test_p_variation_equals_matrix_oracle(path, p):
+    assert p_variation(path, p) == _matrix_sup(path, lambda dist: dist ** p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_paths(), st.sampled_from(_PHIS))
+def test_phi_variation_equals_matrix_oracle(path, phi):
+    assert phi_variation(path, phi) == _matrix_sup(path, lambda dist: phi_value(phi, dist))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_paths())
+def test_oscillation_equals_matrix_max(path):
+    # the largest d(i, j) = ||x_j - x_i|| over i < j, the distances the
+    # profile reads: under the spectral norm, LAPACK's value for x_i - x_j can
+    # differ in the last bit when an entry is a signed zero
+    osc = oscillation(path)
+    assert osc == np.triu(path.distance_matrix(), 1).max()
+    if path.n > 1:
+        assert osc == ttv_profile(path).M[0]
+
+
+_thresholds = arrays(np.float64, st.integers(0, 6), elements=st.floats(0.0, 4e3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sampled_paths(max_n=9), _thresholds)
+def test_batched_ttv_equals_one_threshold_reads(path, cs):
+    prof = ttv_profile(path)
+    got = prof.ttv(cs)
+    assert isinstance(got, np.ndarray) and got.shape == cs.shape
+    one_by_one = np.array([prof.ttv(float(c)) for c in cs], dtype=float)
+    assert got.tobytes() == one_by_one.tobytes()
+    for c, value in zip(cs, got):
+        assert value == pytest.approx(ttv_brute(path, float(c)), rel=1e-12, abs=1e-12)
+
+
+def test_batched_ttv_rejects_bad_thresholds():
+    prof = ttv_profile(gen_fixture("stepSplit"))
+    assert prof.ttv(np.zeros(0)).shape == (0,)
+    assert prof.ttv([0.5, 1.5]).tolist() == [2.0, 0.5]
+    for cs in ([0.5, float("nan")], [float("nan")], [0.1, -0.1]):
+        with pytest.raises(DomainError):
+            prof.ttv(cs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_paths(), st.floats(1.0, 4.0))
+def test_seminorm_attained_at_its_threshold(path, p):
+    rep = p_tv_seminorm(path, p)
+    if rep.argmax_k is None:
+        assert rep.value == 0.0 and ttv(path, 0.0) == 0.0
+        return
+    delta = rep.argmax_delta
+    attained = delta ** (p - 1.0) * ttv(path, delta)  # 0.0 ** 0.0 == 1.0 at p = 1
+    assert rep.value ** p == pytest.approx(attained, rel=1e-12)
