@@ -33,9 +33,18 @@ __all__ = [
 
 def sup_delta_single(x: float, p: float) -> float:
     """sup over delta > 0 of delta^(p-1) (x - delta)_+, in closed form."""
-    if not x >= 0.0:
-        raise DomainError("x must be nonnegative")
-    return c_p_const(p) * x ** p
+    x = float(x)  # a NumPy scalar's x ** p would overflow to inf silently
+    if not 0.0 <= x < math.inf:
+        raise DomainError("x must be finite and nonnegative")
+    cp = c_p_const(p)
+    try:
+        return cp * x ** p
+    except OverflowError:  # x^p alone leaves the float range
+        pass
+    try:
+        return math.exp(math.log(cp) + p * math.log(x))
+    except OverflowError:
+        raise DomainError("sup_delta_single exceeds the float range") from None
 
 
 def fixed_partition_seminorm(increments, p: float) -> float:

@@ -6,7 +6,11 @@ points between samples never help because the path is constant there).  The
 truncated variation is served through the pair profile M_1 <= ... <= M_K,
 where M_k is the largest sum of k increment norms over k disjoint ordered
 index pairs; then TTV(c) = max(0, max_k (M_k - k c)) for every threshold c at
-once.  p- and phi-variation run one subsequence DP over distance columns;
+once.  A one-coordinate path builds its profile on its turning samples
+(Łochowski, SPA 121, 2011; Butkus & Norvaiša, Lith. Math. J. 58, 2018): the
+weight (d - c)_+ is superadditive, so the pairs of an optimal system end at
+alternating extrema, and the profile stops where it reaches the total
+variation.  p- and phi-variation run one subsequence DP over distance columns;
 a 2^n enumeration oracle is provided for tests.
 """
 
@@ -39,9 +43,13 @@ _BRUTE_MAX_SAMPLES = 14
 
 @dataclass(frozen=True)
 class TtvProfile:
-    """Nondecreasing maxima M_k over systems of k disjoint ordered pairs."""
+    """Nondecreasing maxima M_k over systems of k disjoint ordered pairs.
 
-    M: np.ndarray  # shape (K,), K = n - 1; empty for single-point paths
+    M_K is the total variation, and so is every M_k with k > K; reads of
+    the profile therefore need no entry past K.
+    """
+
+    M: np.ndarray  # shape (K,), K <= n - 1; empty for single-point paths
 
     def __post_init__(self):
         m = np.ascontiguousarray(np.asarray(self.M, dtype=float))
@@ -86,7 +94,12 @@ def c_p_const(p: float) -> float:
         raise DomainError("p must be finite and at least 1")
     if p == 1.0:
         return 1.0
-    return (p - 1.0) ** (p - 1.0) / p ** p
+    if p < 144.0:
+        try:
+            return (p - 1.0) ** (p - 1.0) / p ** p
+        except OverflowError:  # p^p leaves the float range from p = 143.02
+            pass
+    return math.exp((p - 1.0) * math.log1p(-1.0 / p) - math.log(p))
 
 
 def _pair_profile(dist: np.ndarray) -> np.ndarray:
@@ -106,11 +119,36 @@ def _pair_profile(dist: np.ndarray) -> np.ndarray:
     return profile
 
 
+def _turning_samples(path):
+    """A one-coordinate path restricted to its first and last samples and to
+    every sample where the sign of the next nonzero increment flips (a plateau
+    keeps one sample); any other path unchanged.
+
+    Exact for the pair profile: the endpoints of a system of disjoint pairs
+    slide onto these extrema without loss, so M_1..M_{m-1} are the full
+    path's, and every later M_k is the total variation.
+    """
+    if path.values[0].size != 1 or path.n < 3:
+        return path
+    steps = np.diff(path.values.ravel())
+    moves = np.flatnonzero(steps)
+    signs = np.sign(steps[moves])
+    turns = moves[1:][signs[1:] != signs[:-1]]
+    keep = np.concatenate(([0], turns, [path.n - 1]))
+    if keep.size == path.n:
+        return path
+    return type(path)(path.times[keep], path.values[keep], path.norm)
+
+
 def ttv_profile(path) -> TtvProfile:
-    """Pair profile of a path, cached on the (immutable) path instance."""
+    """Pair profile of a path, cached on the (immutable) path instance.
+
+    A one-coordinate path builds it on its m turning samples, so K = m - 1
+    can be shorter than n - 1; every read of the profile is unchanged.
+    """
     cached = getattr(path, "_ttv_profile", None)
     if cached is None:
-        cached = TtvProfile(_pair_profile(path.distance_matrix()))
+        cached = TtvProfile(_pair_profile(_turning_samples(path).distance_matrix()))
         object.__setattr__(path, "_ttv_profile", cached)
     return cached
 

@@ -27,6 +27,13 @@ def test_seminorm_fixture_value(capsys):
     assert rep["argmax_k"] == 2 and rep["argmax_delta"] == 0.75
 
 
+def test_seminorm_at_large_p(capsys):
+    code, out, _ = invoke(capsys, "seminorm", "--fixture", "stepSplit", "--p", "200")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["argmax_k"] == 1 and rep["value"] > 0.0
+
+
 def test_pvar_and_phivar(capsys):
     code, out, _ = invoke(capsys, "pvar", "--fixture", "stepSplit", "--p", "2")
     assert code == 0 and json.loads(out)["value"] == 5.0

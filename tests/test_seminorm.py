@@ -40,6 +40,16 @@ def test_c_p_values():
         c_p_const(0.5)
 
 
+def test_c_p_past_the_float_range_of_p_to_the_p():
+    # p^p overflows from p = 143.02; the constant itself stays near 1/(e p)
+    for p in (144, 200, 1e6, 1e308):
+        got = c_p_const(p)
+        log_form = math.exp((p - 1.0) * math.log1p(-1.0 / p) - math.log(p))
+        assert 0.0 < got < math.inf
+        assert got == pytest.approx(log_form, rel=1e-12)
+    assert c_p_const(100.0) == 99.0 ** 99.0 / 100.0 ** 100.0
+
+
 def test_c_p_bracket(rng):
     for p in rng.uniform(1.0, 6.0, 50):
         assert 2.0 ** (-p) <= c_p_const(p) <= 1.0
@@ -54,6 +64,14 @@ def test_sup_delta_single():
     assert grid == pytest.approx(got, rel=1e-9)
     with pytest.raises(DomainError):
         sup_delta_single(-1.0, 2.0)
+    # 2^1030 alone overflows, the product does not; 2^2000 c_p does
+    assert sup_delta_single(2.0, 1030.0) == pytest.approx(
+        math.exp(math.log(c_p_const(1030.0)) + 1030.0 * math.log(2.0)), rel=1e-12)
+    for x in (2.0, np.float64(2.0)):
+        with pytest.raises(DomainError):
+            sup_delta_single(x, 2000.0)
+    with pytest.raises(DomainError):
+        sup_delta_single(math.inf, 2.0)
 
 
 def test_fixed_partition_examples():

@@ -10,6 +10,8 @@ from tvkit import (DomainError, OperatorPath, PhiSpec, SampledPath, gen_fixture,
                    oscillation, p_tv_seminorm, p_variation, phi_value, phi_variation,
                    subsequence_sup_brute, total_variation, ttv, ttv_brute, ttv_profile)
 
+from tvkit.variation import TtvProfile, _pair_profile, _turning_samples
+
 from conftest import ALL_NORMS, random_pair_shared_times, random_path
 
 SQRT3 = math.sqrt(3.0)
@@ -346,3 +348,96 @@ def test_seminorm_attained_at_its_threshold(path, p):
     delta = rep.argmax_delta
     attained = delta ** (p - 1.0) * ttv(path, delta)  # 0.0 ** 0.0 == 1.0 at p = 1
     assert rep.value ** p == pytest.approx(attained, rel=1e-12)
+
+
+# -- the profile of a one-coordinate path on its turning samples -------------
+
+@st.composite
+def _lattice_values(draw, max_n):
+    """Integer runs: plateaus (step 0) and long monotone stretches."""
+    runs = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 9)),
+                         min_size=1, max_size=8))
+    steps = [step for step, length in runs for _ in range(length)]
+    start = draw(st.integers(-5, 5))
+    return start + np.cumsum([0] + steps)[:max_n].astype(float)
+
+
+@st.composite
+def one_coordinate_paths(draw, max_n=40):
+    """d = 1 or 1x1 paths, any norm: lattice runs, constant paths, n = 1
+    and 2, Cauchy walks and arbitrary floats."""
+    kind = draw(st.sampled_from(("lattice", "constant", "short", "cauchy", "floats")))
+    if kind == "lattice":
+        values = draw(_lattice_values(max_n))
+    elif kind == "constant":
+        values = np.full(draw(st.integers(1, max_n)), draw(_component))
+    elif kind == "short":
+        values = draw(arrays(np.float64, st.integers(1, 2), elements=_component))
+    elif kind == "cauchy":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        values = np.cumsum(rng.standard_cauchy(draw(st.integers(1, max_n))))
+    else:
+        values = draw(arrays(np.float64, st.integers(1, max_n), elements=_component))
+    n = values.size
+    norm = draw(st.sampled_from(ALL_NORMS))
+    if draw(st.booleans()):
+        return SampledPath(np.arange(n, dtype=float), values, norm)
+    return OperatorPath(np.arange(n, dtype=float), values.reshape(n, 1, 1), norm)
+
+
+def _turning_count(values):
+    """First and last sample plus one per flip in the sign of the nonzero steps."""
+    if values.size < 2:
+        return values.size
+    signs = [s for s in np.sign(np.diff(values)) if s != 0.0]
+    return 2 + sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_coordinate_paths(), _thresholds, st.floats(1.0, 4.0))
+def test_turning_profile_equals_full_profile(path, cs, p):
+    reduced = _turning_samples(path)
+    assert type(reduced) is type(path) and reduced.norm == path.norm
+    prof = ttv_profile(path)
+    assert prof.K == max(_turning_count(path.values.ravel()) - 1, 0)
+    full = _pair_profile(path.distance_matrix())
+    oracle = TtvProfile(full)
+    # integer values sum exactly, so both programs land on the same floats;
+    # otherwise the full program may find a system whose rounded sum is an
+    # ulp larger, e.g. by splitting a monotone run in two
+    exact = np.all(path.values == np.round(path.values))
+    if exact:
+        assert prof.M.tobytes() == full[:prof.K].tobytes()
+    else:
+        assert prof.M == pytest.approx(full[:prof.K], rel=1e-12)
+    tv = prof.total_variation
+    assert full[prof.K:] == pytest.approx(np.full(full.size - prof.K, tv), rel=1e-12)
+    assert prof.ttv(cs) == pytest.approx(oracle.ttv(cs), rel=1e-12, abs=1e-12)
+    value, k, delta = prof.sup_weighted(p)
+    value_full, k_full, delta_full = oracle.sup_weighted(p)
+    assert value == pytest.approx(value_full, rel=1e-12)
+    if p >= 1.5:
+        assert k == k_full
+        assert delta == (delta_full if exact else pytest.approx(delta_full, rel=1e-12))
+    if path.n <= 12:
+        for c in cs:
+            assert prof.ttv(float(c)) == pytest.approx(ttv_brute(path, float(c)),
+                                                       rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sampled_paths())
+def test_multi_coordinate_profile_keeps_every_sample(path):
+    if path.values[0].size == 1:
+        return
+    assert _turning_samples(path) is path
+    assert ttv_profile(path).K == path.n - 1
+
+
+def test_turning_samples_examples():
+    path = SampledPath(np.arange(9.0), [0, 1, 1, 2, 2, 1, 0, 0, 3], "sup")
+    reduced = _turning_samples(path)
+    assert reduced.values.ravel().tolist() == [0, 2, 0, 3]
+    assert ttv_profile(path).M.tolist() == [3.0, 5.0, 7.0]
+    assert _turning_samples(SampledPath(np.arange(4.0), np.zeros(4))).n == 2
+    assert _turning_samples(SampledPath(np.arange(3.0), [0.0, 1.0, 2.0])).n == 2
