@@ -13,9 +13,11 @@ the machine facts (nproc, Python, numpy).
 With ``--parent`` it measures alternating pairs: for each workload and seed
 it runs the parent checkout and ``--root`` back to back, the parent first on
 odd seeds, and then prints, per workload and end-to-end metric of
-BENCHMARK.json, each side's median and quartiles and the number of pairs the
-change wins.  Without it, it records ``--root`` alone; compare two such files
-by their medians.
+BENCHMARK.json, each side's median and quartiles, the number of pairs the
+change wins, whether the claim rule holds (at least 9/10 of the pairs won,
+and a median gap larger than the parent's interquartile range), and each
+side's total wall time.  Without it, it records ``--root`` alone; compare two
+such files by their medians.
 """
 
 import argparse
@@ -62,7 +64,13 @@ def _value(run: dict, metric: str) -> float:
 
 
 def _summary(runs: list[dict], workloads, metrics) -> None:
-    """Print each side's median [q1, q3] and the change's wins per metric."""
+    """Print each side's median [q1, q3], the change's wins and the claim verdict
+    per metric, then each side's total wall time.
+
+    A gain may be claimed when the change wins at least nine tenths of the
+    pairs (ties count for neither) and its median is better than the parent's
+    by more than the parent's interquartile range.
+    """
     for workload in workloads:
         sides = {side: [r for r in runs if r["workload"] == workload and r["side"] == side]
                  for side in ("parent", "change")}
@@ -74,11 +82,20 @@ def _summary(runs: list[dict], workloads, metrics) -> None:
             sign = 1.0 if metric["better"] == "higher" else -1.0
             wins = int(np.sum(sign * (vals["change"] - vals["parent"]) > 0.0))
             quart = {side: np.percentile(v, [50, 25, 75]) for side, v in vals.items()}
+            pairs = len(vals["change"])
+            gap = sign * (quart["change"][0] - quart["parent"][0])
+            iqr = quart["parent"][2] - quart["parent"][1]
+            most = wins >= 0.9 * pairs
             print(f"  {name:12s} parent {quart['parent'][0]:.4g} "
                   f"[{quart['parent'][1]:.4g}, {quart['parent'][2]:.4g}]  "
                   f"change {quart['change'][0]:.4g} "
                   f"[{quart['change'][1]:.4g}, {quart['change'][2]:.4g}]  "
-                  f"wins {wins}/{len(vals['change'])}")
+                  f"wins {wins}/{pairs} ({'>=' if most else '<'} 9/10)  "
+                  f"gap {gap:.4g} {'>' if gap > iqr else '<='} parent IQR {iqr:.4g}  "
+                  f"claim {'met' if most and gap > iqr else 'not met'}")
+    for side in ("parent", "change"):
+        total = sum(r["wall_s"] for r in runs if r["side"] == side)
+        print(f"{side} total wall time {total:.1f} s")
 
 
 def main(argv=None):

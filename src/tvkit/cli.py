@@ -262,8 +262,12 @@ def _cmd_phivar(args):
 def _cmd_seminorm(args):
     path = _single_path(args)
     rep = p_tv_seminorm(path, args.p)
+    try:
+        value_pow_p = rep.value ** args.p
+    except OverflowError:
+        raise TvkitError(f"value^p overflows a float (value {rep.value!r}, p {args.p!r})") from None
     return {"op": "seminorm", "p": args.p, "value": rep.value,
-            "value_pow_p": rep.value ** args.p,
+            "value_pow_p": value_pow_p,
             "argmax_k": rep.argmax_k, "argmax_delta": rep.argmax_delta}
 
 
@@ -280,11 +284,7 @@ def _cmd_approx(args):
                  "taus": step.skeleton.taus, "branch": list(step.skeleton.branch)},
         "linear": {"tv": lin.tv, "sup_distance": lin.sup_distance},
     }
-    if args.fmt == "csv":
-        buf = io.StringIO()
-        write_path_csv(step.path, buf)
-        return {"__raw__": buf.getvalue()}
-    return report
+    return step.path if args.fmt == "csv" else report
 
 
 def _cmd_integrate(args):
@@ -323,11 +323,7 @@ def _cmd_irregularity(args):
 
 def _cmd_gen(args):
     path = _single_path(args)
-    if args.fmt == "csv":
-        buf = io.StringIO()
-        write_path_csv(path, buf)
-        return {"__raw__": buf.getvalue()}
-    return path_to_json_dict(path)
+    return path if args.fmt == "csv" else path_to_json_dict(path)
 
 
 _HANDLERS = {
@@ -352,12 +348,13 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         report = _HANDLERS[args.subcommand](args)
-        text = report["__raw__"] if isinstance(report, dict) and "__raw__" in report \
-            else _emit(report, args)
+        text = None if isinstance(report, SampledPath) else _emit(report, args)
     except (TvkitError, ValueError, OSError) as exc:
         print(f"tvkit: error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
+    if text is None:  # a path CSV, streamed a block of rows at a time
+        write_path_csv(report, args.out or sys.stdout)
+    elif args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:

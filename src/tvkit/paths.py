@@ -352,8 +352,7 @@ def compose(path: SampledPath, time_change: Callable,
 # CSV / JSON path formats
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_CSV_BLOCK = 1024  # rows per format call of write_path_csv
 
 
 @contextmanager
@@ -367,11 +366,14 @@ def _opened(file, mode: str, **kwargs):
 
 
 def write_path_csv(path: SampledPath, file) -> None:
-    """CSV with header ``time,v1,...,vd``, one row per sample, LF endings."""
+    """CSV with header ``time,v1,...,vd``, one row per sample, LF endings; each
+    value is ``repr`` of its float (``%r``), formatted a block of rows at a time."""
+    row = ",".join(["%r"] * (path.dim + 1)) + "\n"
     with _opened(file, "w", newline="") as fh:
         fh.write("time," + ",".join(f"v{i+1}" for i in range(path.dim)) + "\n")
-        for t, row in zip(path.times, path.values):
-            fh.write(_fmt(t) + "," + ",".join(_fmt(x) for x in row) + "\n")
+        for i in range(0, path.n, _CSV_BLOCK):
+            block = np.column_stack((path.times[i:i + _CSV_BLOCK], path.values[i:i + _CSV_BLOCK]))
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_path_csv(file, norm: NormKind = NormKind.euclidean) -> SampledPath:
@@ -383,7 +385,7 @@ def read_path_csv(file, norm: NormKind = NormKind.euclidean) -> SampledPath:
     if not body or any(len(r) != len(rows[0]) for r in body):
         raise DomainError("malformed path CSV: ragged rows")
     try:
-        data = np.array([[float(x) for x in r] for r in body])
+        data = np.array(body, dtype=float)  # float() of each string
     except ValueError as exc:
         raise DomainError(f"malformed path CSV: {exc}") from None
     return SampledPath(data[:, 0], data[:, 1:], norm)
@@ -391,8 +393,8 @@ def read_path_csv(file, norm: NormKind = NormKind.euclidean) -> SampledPath:
 
 def path_to_json_dict(path: SampledPath) -> dict:
     return {
-        "times": [float(t) for t in path.times],
-        "values": [[float(x) for x in row] for row in path.values],
+        "times": path.times.tolist(),
+        "values": path.values.tolist(),
         "norm": path.norm.value,
     }
 

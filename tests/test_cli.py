@@ -34,6 +34,14 @@ def test_seminorm_at_large_p(capsys):
     assert rep["argmax_k"] == 1 and rep["value"] > 0.0
 
 
+def test_seminorm_power_overflow_exits_2(capsys):
+    # the seminorm (about 1.99) is finite; only value^p leaves the float range
+    code, out, err = invoke(capsys, "seminorm", "--fixture", "stepSplit", "--p", "2000")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("tvkit: error: value^p overflows a float (value 1.99")
+
+
 def test_pvar_and_phivar(capsys):
     code, out, _ = invoke(capsys, "pvar", "--fixture", "stepSplit", "--p", "2")
     assert code == 0 and json.loads(out)["value"] == 5.0

@@ -1,6 +1,9 @@
+import csv
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,3 +312,144 @@ def test_csv_malformed():
 def test_csv_ragged_rows(text):
     with pytest.raises(DomainError, match=r"^malformed path CSV: ragged rows$"):
         read_path_csv(io.StringIO(text))
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the CSV/JSON layer against per-element oracles
+# ---------------------------------------------------------------------------
+
+def _oracle_write_csv(path, fh):
+    """The per-row, per-element writer the block writer replaced."""
+    fh.write("time," + ",".join(f"v{i+1}" for i in range(path.dim)) + "\n")
+    for t, row in zip(path.times, path.values):
+        fh.write(repr(float(t)) + "," + ",".join(repr(float(x)) for x in row) + "\n")
+
+
+def _oracle_read_csv(fh, norm=NormKind.euclidean):
+    """The reader with the per-element ``float`` comprehension it replaced."""
+    rows = list(csv.reader(fh))
+    if not rows or not rows[0] or rows[0][0] != "time":
+        raise DomainError("malformed path CSV: expected header time,v1,...,vd")
+    body = [r for r in rows[1:] if r]
+    if not body or any(len(r) != len(rows[0]) for r in body):
+        raise DomainError("malformed path CSV: ragged rows")
+    try:
+        data = np.array([[float(x) for x in r] for r in body])
+    except ValueError as exc:
+        raise DomainError(f"malformed path CSV: {exc}") from None
+    return SampledPath(data[:, 0], data[:, 1:], norm)
+
+
+_BLOCK = tvkit.paths._CSV_BLOCK
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                1.7976931348623157e308, -1.7976931348623157e308, 2.0 ** 1023,
+                2.0 ** 53 + 2.0, -(2.0 ** 60), 1e16, 1e22, 0.1, 1.0 / 3.0]
+
+
+def _finite_floats(rng, size, pool, share):
+    """Random finite float64 bit patterns, a ``share`` of them from ``pool``."""
+    x = rng.integers(0, 2 ** 64, size, dtype=np.uint64, endpoint=False).view(np.float64)
+    x[~np.isfinite(x)] = 0.0
+    picks = rng.random(size) < share
+    x[picks] = rng.choice(np.array(pool), int(picks.sum()))
+    return x
+
+
+def _random_path(rng, n, d, pool, share):
+    """Path of n samples whose times and values are such finite bit patterns."""
+    times = np.unique(np.concatenate((_finite_floats(rng, n, pool, share),
+                                      _finite_floats(rng, 2 * n, pool, 0.0))))
+    times = np.sort(rng.choice(times, n, replace=False))
+    return SampledPath(times, _finite_floats(rng, (n, d), pool, share))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(1, 40), st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1]),
+                 st.integers(1, 2 * _BLOCK + 3)),
+       st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+       st.floats(0.0, 1.0))
+def test_csv_writer_matches_per_element_oracle(n, d, seed, drawn, share):
+    path = _random_path(np.random.default_rng(seed), n, d, _EDGE_FLOATS + drawn, share)
+    expected = io.StringIO()
+    _oracle_write_csv(path, expected)
+    buf = io.StringIO()
+    write_path_csv(path, buf)
+    assert buf.getvalue() == expected.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        name = str(Path(tmp) / "p.csv")
+        write_path_csv(path, name)
+        assert Path(name).read_bytes() == expected.getvalue().encode()
+
+
+# spellings that float() accepts as finite numbers, then odd and bad cells
+_CSV_NUMBERS = ["0", "1", "-1", "2.5", "-0.0", "0.0", "1e3", "1E-3", "+1", "1_0", " 1.5 ",
+                "\t2", "1.5\u00a0", "\u0661\u0662", "\u0967.\u096b", "\uff15", "5e-324",
+                "1e-400", "1.7976931348623157e308"]
+_CSV_TOKENS = _CSV_NUMBERS + [
+    "1__0", "_1", "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "-Infinity", "0x10",
+    "1,5", "", " ", "abc", "1.2.3", "1e400", "-1e400", "'1'", "\u00e9"]
+_CSV_CELL = st.one_of(st.sampled_from(_CSV_TOKENS),
+                      st.floats(allow_nan=False).map(repr),
+                      st.text(alphabet="0123456789.eE+-_ \"", max_size=6))
+_CSV_LINE = st.one_of(
+    st.lists(_CSV_CELL, min_size=1, max_size=4).map(",".join),
+    st.lists(_CSV_CELL, min_size=1, max_size=3).map(lambda cs: ",".join(f'"{c}"' for c in cs)),
+    st.sampled_from(["", " ", "\t", "time", "time,v1", "time,v1,v2", "Time,v1", "v1,time"]))
+
+
+_DIGITS = {"ascii": "0123456789", "arabic": "\u0660\u0661\u0662\u0663\u0664"
+           "\u0665\u0666\u0667\u0668\u0669", "fullwidth": "\uff10\uff11\uff12\uff13"
+           "\uff14\uff15\uff16\uff17\uff18\uff19"}
+
+
+@st.composite
+def _csv_texts(draw):
+    """Header and rows: mostly a well-formed increasing path in varied spellings,
+    with same-width rows of odd cells and arbitrary lines mixed in."""
+    d = draw(st.integers(1, 3))
+    header = "time," + ",".join(f"v{i+1}" for i in range(d))
+    lines = [header if draw(st.integers(0, 4)) else draw(_CSV_LINE)]
+    for k in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind <= 5:
+            digits = _DIGITS[draw(st.sampled_from(sorted(_DIGITS)))]
+            time = str(k).translate(str.maketrans("0123456789", digits))
+            pad = draw(st.sampled_from(["", " ", "\t"]))
+            cells = [pad + time + pad] + [draw(st.sampled_from(_CSV_NUMBERS))
+                                          for _ in range(d)]
+        elif kind <= 8:
+            cells = [draw(_CSV_CELL) for _ in range(d + 1)]
+        else:
+            cells = [draw(_CSV_LINE)]
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _outcome(read, text):
+    """Arrays as bytes (so -0.0 counts) or the DomainError message."""
+    try:
+        path = read(io.StringIO(text, newline=""), NormKind.l1)
+    except DomainError as exc:
+        return "error", str(exc)
+    return path.times.tobytes(), path.values.tobytes(), path.values.shape, path.norm
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_texts())
+def test_csv_reader_matches_per_element_oracle(text):
+    assert _outcome(read_path_csv, text) == _outcome(_oracle_read_csv, text)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 50), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_json_dict_matches_per_element_oracle(n, d, seed):
+    path = _random_path(np.random.default_rng(seed), n, d, _EDGE_FLOATS, 0.3)
+    got = tvkit.paths.path_to_json_dict(path)
+    expected = {"times": [float(t) for t in path.times],
+                "values": [[float(x) for x in row] for row in path.values],
+                "norm": path.norm.value}
+    assert json.dumps(got) == json.dumps(expected)
+    assert all(type(t) is float for t in got["times"])
+    assert all(type(x) is float for row in got["values"] for x in row)
