@@ -348,17 +348,17 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         report = _HANDLERS[args.subcommand](args)
-        text = None if isinstance(report, SampledPath) else _emit(report, args)
+        if isinstance(report, SampledPath):  # a path CSV, streamed a block of rows at a time
+            write_path_csv(report, args.out or sys.stdout)
+        elif args.out:
+            text = _emit(report, args)
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(_emit(report, args))
     except (TvkitError, ValueError, OSError) as exc:
         print(f"tvkit: error: {exc}", file=sys.stderr)
         return 2
-    if text is None:  # a path CSV, streamed a block of rows at a time
-        write_path_csv(report, args.out or sys.stdout)
-    elif args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "irregularity_check",
 ]
 
-_SERIES_CAP = 10_000
 _GROWTH_CAP = 20
 _CHUNK = 1 << 20
 
@@ -374,13 +373,6 @@ class SequencePair:
     def zero(cls) -> "SequencePair":
         return cls(mode="zero")
 
-    @property
-    def max_index(self) -> int | None:
-        """Largest k with data in explicit mode; None when unbounded."""
-        if self.mode == "explicit":
-            return self.theta_values.size - 1
-        return None
-
     def eta(self, k: int) -> float:
         if k < -1:
             raise DomainError("eta is defined for k >= -1")
@@ -391,11 +383,9 @@ class SequencePair:
                 raise DomainError("eta index beyond the explicit list")
             return float(self.eta_values[k + 1])
         _, r = _alpha_r(self.p, self.q)
-        log_pow = (k + 1) * math.log(r)
-        if log_pow > 700.0:
+        if (k + 1) * math.log(r) > 700.0:  # r^(k+1) would overflow; eta underflows
             return 0.0
-        expo = 1.0 - r ** (k + 1)
-        return float(self.beta * 3.0 ** max(expo, -1e6))
+        return float(self.beta * 3.0 ** (1.0 - r ** (k + 1)))
 
     def theta(self, k: int) -> float:
         if k < 0:
@@ -407,11 +397,9 @@ class SequencePair:
                 raise DomainError("theta index beyond the explicit list")
             return float(self.theta_values[k])
         alpha, r = _alpha_r(self.p, self.q)
-        log_pow = k * math.log(r)
-        if log_pow > 700.0:
+        if k * math.log(r) > 700.0:  # r^k would overflow; theta underflows
             return 0.0
-        expo = -(r ** k) * alpha / (self.q - 1.0)
-        return float(self.gamma * 3.0 ** max(expo, -1e6))
+        return float(self.gamma * 3.0 ** (-(r ** k) * alpha / (self.q - 1.0)))
 
 
 def choose_sequences(p: float, q: float, f, g) -> SequencePair:
@@ -434,28 +422,41 @@ def choose_sequences(p: float, q: float, f, g) -> SequencePair:
     return SequencePair.closed_form(p, q, beta, gamma)
 
 
-def _tail_bound(seqs: SequencePair, k: int, tv_f: float, tv_g: float) -> float | None:
-    """Certified upper bound for the majorant's tail past index k, or None."""
-    if seqs.mode == "zero":
-        return 0.0
-    if seqs.mode == "explicit":
-        eta_done = tv_g == 0.0 or seqs.eta(k) == 0.0
-        theta_done = tv_f == 0.0 or seqs.theta(min(k + 1, seqs.max_index)) == 0.0
-        return 0.0 if eta_done and theta_done else None
-    # closed form: the term ratios 3 eta(k+1)/eta(k) decrease in k, so once
-    # below 1 the remainder is dominated by a geometric series.
-    a1 = 4.0 * tv_g * 3.0 ** (k + 1) * seqs.eta(k)
-    b1 = 4.0 * tv_f * 3.0 ** (k + 1) * seqs.theta(k + 1)
-    tail = 0.0
-    for first, nxt in ((a1, 4.0 * tv_g * 3.0 ** (k + 2) * seqs.eta(k + 1)),
-                       (b1, 4.0 * tv_f * 3.0 ** (k + 2) * seqs.theta(k + 2))):
-        if first == 0.0:
-            continue
-        ratio = nxt / first
-        if ratio >= 1.0:
-            return None
-        tail += first / (1.0 - ratio)
-    return tail
+def _double_exp_terms(const: float, coef: float, r: float) -> tuple[list[float], list[float]]:
+    """Terms t_k = 3^(k + const - coef r^k) (coef > 0, r > 1) and their remainders.
+
+    tails[k] bounds sum_{j>k} t_j, or is inf while the terms may still grow:
+    rho_k = t_{k+1}/t_k = 3^(1 - coef r^k (r - 1)) decreases in k, so once
+    rho_{k+1} < 1 that sum is at most t_{k+1}/(1 - rho_{k+1}).  The terms stop
+    at the first one past the turnover (rho_k < 1) that underflows; a term
+    past the float range raises.
+    """
+    terms, tails, k = [], [], 0
+    while True:
+        try:
+            term = 3.0 ** (k + const - coef * r ** k)
+        except OverflowError:
+            raise SeriesError("a series term overflows a float") from None
+        rho = 3.0 ** (1.0 - coef * r ** k * (r - 1.0))
+        if terms:
+            tails.append(term / (1.0 - rho) if rho < 1.0 else math.inf)
+        terms.append(term)
+        if term == 0.0 and rho < 1.0:
+            tails.append(0.0)
+            return terms, tails
+        k += 1
+
+
+def _majorant_terms(prof_f, prof_g, g_weights, g_cuts, f_weights, f_cuts) -> np.ndarray:
+    """Terms 4 [a_k TTV(g, c_k/4) + b_k TTV(f, e_k/4)] of S and of the
+    partition bound, with one batched profile read per operand."""
+    return 4.0 * (g_weights * prof_g.ttv(np.divide(g_cuts, 4.0))
+                  + f_weights * prof_f.ttv(np.divide(f_cuts, 4.0)))
+
+
+def _left_sum(terms) -> float:
+    """Sum left to right: a report's bytes must not hang on pairwise summation."""
+    return float(np.cumsum(terms)[-1])
 
 
 def young_bound_S(f, g, seqs: SequencePair, tail_tol: float = 1e-9) -> float:
@@ -463,10 +464,11 @@ def young_bound_S(f, g, seqs: SequencePair, tail_tol: float = 1e-9) -> float:
 
     Truncated variations never exceed the total variation, so the tail past
     index K is at most 4 TV(g) sum_{k>K} 3^k eta_{k-1} + 4 TV(f) sum 3^k
-    theta_k; summation stops once that bound drops below ``tail_tol`` and the
-    bound is added to the partial sum, keeping the result an upper bound for
-    the full series.  Sequences whose tail cannot be certified (exhausted
-    explicit lists, or terms growing persistently) raise.
+    theta_k.  S sums the terms up to the first K where that bound is at most
+    ``tail_tol`` and adds the bound, so it bounds the full series.  Closed-form
+    terms come from their combined exponents, beta 3^(k+1-r^k) and
+    gamma 3^(k-alpha r^k/(q-1)).  Exhausted explicit lists, persistently
+    growing terms and a majorant past the float range raise.
     """
     if not tail_tol > 0.0:
         raise DomainError("tail_tol must be positive")
@@ -474,31 +476,51 @@ def young_bound_S(f, g, seqs: SequencePair, tail_tol: float = 1e-9) -> float:
         return 0.0
     prof_f = ttv_profile(f)
     prof_g = ttv_profile(g)
-    tv_f = prof_f.total_variation
-    tv_g = prof_g.total_variation
-    partial = 0.0
-    prev_term = None
-    grew = 0
-    last = seqs.max_index
-    for k in range(_SERIES_CAP):
-        if last is not None and k > last:
-            raise SeriesError("explicit sequence lists exhausted before the tail "
-                              "tolerance was certified")
-        term = 4.0 * 3.0 ** k * (seqs.eta(k - 1) * prof_g.ttv(seqs.theta(k) / 4.0)
-                                 + seqs.theta(k) * prof_f.ttv(seqs.eta(k) / 4.0))
-        partial += term
-        if prev_term is not None and term > prev_term:
-            grew += 1
-            if grew >= _GROWTH_CAP and seqs.mode == "explicit":
+    tv_f, tv_g = prof_f.total_variation, prof_g.total_variation
+    if seqs.mode == "explicit":
+        eta, theta = seqs.eta_values, seqs.theta_values
+        g_weights, f_weights = eta[:-1], theta  # times 3^k below
+        # the remainder after index k is 0 once both sides' later terms vanish
+        tails = np.where(((tv_g == 0.0) | (eta[1:] == 0.0))
+                         & ((tv_f == 0.0) | (np.append(theta[1:], theta[-1]) == 0.0)),
+                         0.0, math.inf)
+    else:
+        alpha, r = _alpha_r(seqs.p, seqs.q)
+        # 3^k eta_{k-1} / beta, then 3^k theta_k / gamma: where the first stays in
+        # the float range, r is far enough above 1 that the second is short too
+        g_unit, g_tails = _double_exp_terms(1.0, 1.0, r)
+        f_unit, f_tails = _double_exp_terms(0.0, alpha / (seqs.q - 1.0), r)
+        n = max(len(g_unit), len(f_unit))  # past its list, a series is 0 and so is its tail
+        g_unit, g_tails, f_unit, f_tails = (np.pad(v, (0, n - len(v)))
+                                            for v in (g_unit, g_tails, f_unit, f_tails))
+        g_weights, f_weights = seqs.beta * g_unit, seqs.gamma * f_unit
+        tails = np.zeros(n)  # a constant operand adds no term and no tail
+        if tv_g:
+            tails += 4.0 * seqs.beta * tv_g * g_tails
+        if tv_f:
+            tails += 4.0 * seqs.gamma * tv_f * f_tails
+    certified = np.flatnonzero(tails <= tail_tol)
+    stop = int(certified[0]) if certified.size else tails.size - 1
+    # 3^k only up to the last index read: past k = 646 it overflows
+    scale = 3.0 ** np.arange(stop + 1) if seqs.mode == "explicit" else 1.0
+    ks = range(stop + 1)
+    terms = _majorant_terms(prof_f, prof_g, scale * g_weights[:stop + 1],
+                            [seqs.theta(k) for k in ks], scale * f_weights[:stop + 1],
+                            [seqs.eta(k) for k in ks])
+    if seqs.mode == "explicit":
+        grew = 0
+        for up in np.diff(terms) > 0.0:
+            grew = grew + 1 if up else 0
+            if grew >= _GROWTH_CAP:
                 raise SeriesError("sequence terms grew for 20 consecutive indices; "
                                   "the majorant looks non-summable")
-        else:
-            grew = 0
-        prev_term = term
-        tail = _tail_bound(seqs, k, tv_f, tv_g)
-        if tail is not None and tail <= tail_tol:
-            return partial + tail
-    raise SeriesError(f"tail tolerance not reached within {_SERIES_CAP} terms")
+        if not certified.size:
+            raise SeriesError("explicit sequence lists exhausted before the tail "
+                              "tolerance was certified")
+    bound = _left_sum(terms) + float(tails[stop])
+    if not math.isfinite(bound):
+        raise SeriesError("the majorant overflows a float")
+    return bound
 
 
 def partition_deviation_bound(f, g, partition, tags, deltas, epsilons) -> float:
@@ -529,72 +551,47 @@ def partition_deviation_bound(f, g, partition, tags, deltas, epsilons) -> float:
     fr = fop.restrict(c, d)
     gr = g.restrict(c, d)
     delta_prev = 0.5 * float(np.max(fr.norm_of(fr.values - fr.values[0])))
-    ttv_f = ttv_profile(fr).ttv(ds / 4.0)
-    ttv_g = ttv_profile(gr).ttv(es / 4.0)
+    scale = 3.0 ** np.arange(ds.size)
+    terms = _majorant_terms(ttv_profile(fr), ttv_profile(gr),
+                            scale * np.append(delta_prev, ds[:-1]), es, scale * es, ds)
     n = pts.size - 1
-    bound = 0.0
-    for k in range(ds.size):
-        bound += 4.0 * 3.0 ** k * (delta_prev * ttv_g[k] + es[k] * ttv_f[k])
-        delta_prev = ds[k]
-    return bound + n * float(ds[-1]) * float(es[-1])
+    return _left_sum(terms) + n * float(ds[-1]) * float(es[-1])
 
 
 # ---------------------------------------------------------------------------
 # explicit constants
 # ---------------------------------------------------------------------------
 
-def _sum_double_exp_series(const: float, coef: float, r: float, tol: float) -> float:
-    """sum_k 3^(k + const - coef * r^k) for coef > 0, r > 1.
-
-    Terms grow until r^k ~ 1/(coef (r-1)) and then collapse doubly
-    exponentially; summation stops when a past-turnover term falls below
-    tol * partial.  Growth persisting past the analytic turnover or hitting
-    the term cap raises (divergence is never reported as a huge number).
-    """
+def _constant(p: float, q: float, tol: float, combine) -> float:
+    """combine(S1, S2, 4^q, 4^p) for the series S1, S2 of the constants, each
+    summed left to right down to the underflow of its terms."""
+    _check_exponents(p, q)
     if not 0.0 < tol < 1.0:
         raise DomainError("tol must lie in (0, 1)")
-    turnover = 0.0
-    if coef * (r - 1.0) < 1.0:
-        turnover = math.log(1.0 / (coef * (r - 1.0))) / math.log(r)
-    partial = 0.0
-    prev = None
-    for k in range(_SERIES_CAP):
-        log_pow = k * math.log(r)
-        if log_pow > 700.0:
-            break  # r^k overflow: the term is identically zero
-        expo = k + const - coef * r ** k
-        if expo > 620.0:
-            raise SeriesError("series term overflow")
-        term = 3.0 ** expo if expo > -650.0 else 0.0
-        partial += term
-        past_turnover = k > turnover
-        if prev is not None and term > prev and k > turnover + _GROWTH_CAP:
-            raise SeriesError("series terms still growing past the analytic turnover")
-        if past_turnover and (term == 0.0 or (prev is not None and term <= prev
-                                              and term < tol * partial)):
-            return partial
-        prev = term
-    if partial > 0.0:
-        return partial
-    raise SeriesError(f"series did not settle within {_SERIES_CAP} terms")
-
-
-def _constant_series(p: float, q: float, tol: float) -> tuple[float, float]:
     alpha, r = _alpha_r(p, q)
-    s1 = _sum_double_exp_series(1.0, 1.0 - alpha, r, tol)
-    s2 = _sum_double_exp_series(1.0 - p, alpha * (1.0 - alpha) / (q - 1.0), r, tol)
-    return s1, s2
+    try:
+        four_q, four_p = 4.0 ** q, 4.0 ** p  # p or q >= 512 ends here, before any series
+        s1 = _left_sum(_double_exp_terms(1.0, 1.0 - alpha, r)[0])
+        s2 = _left_sum(_double_exp_terms(1.0 - p, alpha * (1.0 - alpha) / (q - 1.0), r)[0])
+        value = combine(s1, s2, four_q, four_p)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise SeriesError(f"constant leaves the float range at p={p!r}, q={q!r}")
+    return value
 
 
 def ly_constant(p: float, q: float, tol: float = 1e-9) -> float:
     """Explicit constant of the variation-product bound:
 
-        C = 4^q sum_k 3^(k+1-(1-alpha) r^k)
-          + 4^p sum_k 3^(k+1-p-alpha(1-alpha) r^k/(q-1)).
+        C = 4^q S1 + 4^p S2,  S1 = sum_k 3^(k+1-(1-alpha) r^k),
+                              S2 = sum_k 3^(k+1-p-alpha(1-alpha) r^k/(q-1)).
+
+    Both series are summed down to the underflow of their terms, so C is the
+    series to rounding and meets every ``tol`` in (0, 1), the documented
+    accuracy; a C past the float range raises SeriesError.
     """
-    _check_exponents(p, q)
-    s1, s2 = _constant_series(p, q, tol)
-    return 4.0 ** q * s1 + 4.0 ** p * s2
+    return _constant(p, q, tol, lambda s1, s2, four_q, four_p: four_q * s1 + four_p * s2)
 
 
 def irregularity_constant(p: float, q: float, tol: float = 1e-9) -> float:
@@ -602,14 +599,13 @@ def irregularity_constant(p: float, q: float, tol: float = 1e-9) -> float:
 
         D = (4^q S1 (2 * 4^p S2)^(q-1))^(1/q)
 
-    with the same two series as :func:`ly_constant`.
+    with the series of :func:`ly_constant`, summed the same way to underflow:
+    D meets every ``tol`` in (0, 1).  A D past the float range raises
+    SeriesError, and so does an S2 below the normal floats, whose (q-1)-th
+    power would have lost its digits.
     """
-    _check_exponents(p, q)
-    s1, s2 = _constant_series(p, q, tol)
-    d_tilde = 4.0 ** q * s1 * (2.0 * 4.0 ** p * s2) ** (q - 1.0)
-    if not math.isfinite(d_tilde):
-        raise SeriesError("constant overflowed; exponents too close to the boundary")
-    return d_tilde ** (1.0 / q)
+    return _constant(p, q, tol, lambda s1, s2, four_q, four_p: 0.0 if s2 < np.finfo(float).tiny
+                     else (four_q * s1 * (2.0 * four_p * s2) ** (q - 1.0)) ** (1.0 / q))
 
 
 # ---------------------------------------------------------------------------

@@ -207,11 +207,16 @@ def _subsequence_sup(path, weight: Callable[[np.ndarray], np.ndarray]) -> float:
 def p_variation(path, p: float) -> float:
     """Discrete p-variation: sup over subsequences of sum ||increment||^p.
 
-    Returns the p-th power sum itself, not its 1/p root.
+    Returns the p-th power sum itself, not its 1/p root; a sum past the float
+    range raises DomainError.
     """
     if not 1.0 <= p < math.inf:
         raise DomainError("p must be finite and at least 1")
-    return _subsequence_sup(path, lambda dist: dist ** p)
+    with np.errstate(over="ignore"):
+        value = _subsequence_sup(path, lambda dist: dist ** p)
+    if value == math.inf:
+        raise DomainError(f"the p-variation overflows a float (p {p!r})")
+    return value
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ stdout and stderr to match byte for byte.  After a change that moves CLI
 bytes on purpose, list the records that moved, then re-record:
 
     PYTHONPATH=src python tests/cli_golden.py            # list changed records
+                                                         # and their first moved lines
     PYTHONPATH=src python tests/cli_golden.py --write    # rewrite the corpus
 
 Input files are drawn from a seeded generator into a temporary directory, so
@@ -153,6 +154,25 @@ def invoke(case: dict, root: Path) -> dict:
             "stderr": stderr.replace(str(root), "<tmp>")}
 
 
+def differences(old: dict, new: dict) -> list[str]:
+    """The exit codes if they differ, and the first differing line of stdout
+    and of stderr, as recorded in the corpus and as printed by the run."""
+    out = []
+    if old["code"] != new["code"]:
+        out.append(f"code    corpus: {old['code']}  run: {new['code']}")
+    for stream in ("stdout", "stderr"):
+        a, b = old[stream].splitlines(), new[stream].splitlines()
+        for i in range(max(len(a), len(b))):
+            was = a[i] if i < len(a) else "<no line>"
+            now = b[i] if i < len(b) else "<no line>"
+            if was != now:
+                out.append(f"{stream} line {i + 1}")
+                out.append(f"  corpus: {was}")
+                out.append(f"  run:    {now}")
+                break
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="List or re-record the CLI golden corpus.")
     ap.add_argument("--write", action="store_true", help="rewrite the corpus file")
@@ -164,8 +184,12 @@ def main(argv=None) -> int:
     old_by_argv = {json.dumps(r["argv"]): r for r in old}
     for rec in records:
         prev = old_by_argv.get(json.dumps(rec["argv"]))
-        if prev != rec:
-            print(("new: " if prev is None else "changed: ") + " ".join(rec["argv"]))
+        if prev is None:
+            print("new: " + " ".join(rec["argv"]))
+        elif prev != rec:
+            print("changed: " + " ".join(rec["argv"]))
+            for line in differences(prev, rec):
+                print("  " + line)
     if args.write:
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(json.dumps(records, indent=1) + "\n")

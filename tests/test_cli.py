@@ -1,10 +1,20 @@
 import json
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tvkit import SampledPath, gen_alpha_stable, read_path_csv, write_path_csv
 from tvkit.cli import run
+
+from cli_golden import invoke as invoke_recorded
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tvbench"))
+import reference as ref  # noqa: E402
 
 
 def invoke(capsys, *argv):
@@ -40,6 +50,17 @@ def test_seminorm_power_overflow_exits_2(capsys):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("tvkit: error: value^p overflows a float (value 1.99")
+
+
+@pytest.mark.parametrize("argv", [
+    ("ttv", "--fixture", "stepSplit", "--c", "0.5"),
+    ("gen", "--fixture", "stepSplit", "--format", "csv"),
+])
+def test_out_that_cannot_be_opened_exits_2(capsys, tmp_path, argv):
+    code, out, err = invoke(capsys, *argv, "--out", str(tmp_path / "missing" / "x.out"))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("tvkit: error: ")
+    assert "No such file or directory" in err
 
 
 def test_pvar_and_phivar(capsys):
@@ -261,3 +282,53 @@ def test_csv_trials_table(capsys):
     assert lines[0] == "key,value"
     assert any(line.startswith("trials.0.ly.ratio,") for line in lines)
     assert any(line.startswith("trials.1.ly.ratio,") for line in lines)
+
+
+# -- the series of the integral subcommands -----------------------------------
+
+PAIR = ("--gen", "alpha-stable", "--n", "16", "--seed", "1")
+
+
+def test_ly_constant_is_the_summed_series(capsys):
+    # at --tol 1e-2 a series stopped on a relative term test falls 1.4 % short
+    code, out, _ = invoke(capsys, "ly-check", "--gen", "alpha-stable", "--n", "64",
+                          "--seed", "1", "--p", "1.9", "--q", "2.05", "--tol", "1e-2")
+    assert code == 0
+    want = ref.c_pq(1.9, 2.05)
+    assert want <= json.loads(out)["ly"]["C_pq"] <= want * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("tol", ["1e-9", "1e-300"])
+def test_majorant_finite_where_its_terms_peak_near_3_to_the_358(capsys, tol):
+    # with --tol 1e-300 the certified sum runs past k = 646, where 3^k overflows
+    code, out, _ = invoke(capsys, "integrate", *PAIR, "--p", "1.99", "--q", "1.99",
+                          "--tol", tol)
+    assert code == 0
+    bound_s = json.loads(out)["bound_S"]
+    assert math.isfinite(bound_s) and bound_s > 1e170
+
+
+exponents = st.one_of(st.floats(1.0, 4.0), st.floats(1.0, 1.001), st.floats(4.0, 1e7),
+                      st.sampled_from([1.0000001, 1.1, 1.9, 1.99, 2.05, 10.0, 1e6, 1e300,
+                                       0.5, -1.0, math.inf, math.nan]))
+tolerances = st.one_of(st.floats(0.0, 1.0), st.floats(1e-300, 1e-6),
+                       st.sampled_from([1e-2, 1e-9, 1.5, 0.0, -1.0, math.inf, math.nan]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["ly-check", "irregularity", "integrate"]), exponents, exponents,
+       tolerances)
+@example("integrate", 1.99, 1.99, 1e-9)
+@example("irregularity", 1.1, 10.0, 1e-9)
+@example("ly-check", 1.0000001, 1e6, 1e-9)
+@example("ly-check", 1.9, 2.05, 1e-2)
+@example("integrate", 1e6, 1.0000001, 1e-9)
+def test_integral_subcommands_exit_0_or_2_with_one_line(sub, p, q, tol):
+    rec = invoke_recorded({"argv": [sub, *PAIR, "--p", repr(p), "--q", repr(q),
+                                    "--tol", repr(tol)]}, Path(__file__).parent)
+    assert rec["code"] in (0, 2), rec
+    if rec["code"] == 0:
+        assert rec["stderr"] == "" and json.loads(rec["stdout"])
+    else:
+        assert rec["stdout"] == "" and rec["stderr"].count("\n") == 1, rec
+        assert rec["stderr"].startswith("tvkit: error: "), rec

@@ -1,8 +1,10 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tvkit import (CommonJumpError, ConvergenceError, DomainError, NormKind,
@@ -16,6 +18,9 @@ from tvkit.seminorm import c_p_const
 
 from conftest import ALL_NORMS, random_step_pair
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tvbench"))
+import reference as ref  # noqa: E402
+
 
 def drift_term(f: OperatorPath, g: SampledPath) -> np.ndarray:
     return f.values[0] @ (g.values[-1] - g.values[0])
@@ -23,6 +28,11 @@ def drift_term(f: OperatorPath, g: SampledPath) -> np.ndarray:
 
 def deviation(f: OperatorPath, g: SampledPath) -> float:
     return float(np.abs(step_integral(f, g) - drift_term(f, g)).max())
+
+
+def euclidean_deviation(f: OperatorPath, g: SampledPath) -> float:
+    """||int f dg - f(a)[g(b) - g(a)]||_2; a constant f leaves rounding only."""
+    return float(np.linalg.norm(step_integral(f, g) - drift_term(f, g)))
 
 
 # -- tagged sums -------------------------------------------------------------
@@ -154,14 +164,14 @@ def jump_sum_oracle(f: OperatorPath, g: SampledPath, a: float, b: float) -> np.n
 
 
 @st.composite
-def sampled_pairs(draw):
+def sampled_pairs(draw, max_dim=3, norms=ALL_NORMS):
     """Operator/vector pair on [0, 1] on different grids with disjoint interior times.
 
     f's interior times are even and g's odd multiples of 1/128, so no time is
     shared except the endpoints, where both paths hold their last value.
     """
-    d = draw(st.integers(1, 3))
-    norm = draw(st.sampled_from(ALL_NORMS))
+    d = draw(st.integers(1, max_dim))
+    norm = draw(st.sampled_from(norms))
     nf = draw(st.integers(0, 12))
     ng = draw(st.integers(0, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -316,8 +326,41 @@ def test_young_bound_constant_integrator_leaves_integrand_sum(rng):
 def test_young_bound_explicit_list_exhaustion(rng):
     f, g = random_step_pair(rng, 4, 4)
     sp = SequencePair.from_lists([1.0, 0.5, 0.25], [0.5, 0.25])
-    with pytest.raises(SeriesError):
+    with pytest.raises(SeriesError, match="exhausted"):
         young_bound_S(f, g, sp, tail_tol=1e-12)
+
+
+def test_young_bound_explicit_list_growth(rng):
+    # constant thresholds: every term is 3 times the one before
+    f, g = random_step_pair(rng, 4, 4)
+    sp = SequencePair.from_lists([0.1] * 26, [0.1] * 25)
+    with pytest.raises(SeriesError, match="grew for 20 consecutive indices"):
+        young_bound_S(f, g, sp)
+    # a list too short to grow 20 times runs out first
+    with pytest.raises(SeriesError, match="exhausted"):
+        young_bound_S(f, g, SequencePair.from_lists([0.1] * 20, [0.1] * 19))
+
+
+@st.composite
+def exponent_pairs(draw, far=True):
+    """(p, q) with 1/p + 1/q > 1, i.e. x = (p - 1)(q - 1) < 1: generic pairs and
+    pairs near the boundary x = 1, in either order; with ``far``, also large q
+    with p near 1."""
+    p1 = draw(st.floats(0.05, 4.0) | st.floats(1e-7, 1e-3) if far else st.floats(0.05, 4.0))
+    x = draw(st.floats(0.01, 0.95) | st.floats(2.0, 8.0).map(lambda u: 1.0 - 10.0 ** -u))
+    p, q = 1.0 + p1, 1.0 + x / p1
+    if draw(st.booleans()):
+        p, q = q, p
+    assume(1.0 / p + 1.0 / q > 1.0)
+    return p, q
+
+
+def _finite_or_none(compute):
+    try:
+        value = compute()
+    except ArithmeticError:  # the reference's float ** overflows
+        return None
+    return value if math.isfinite(value) else None
 
 
 def test_young_bound_dominates_deviation(rng):
@@ -327,6 +370,42 @@ def test_young_bound_dominates_deviation(rng):
         s = young_bound_S(f, g, sp, tail_tol=1e-9)
         assert math.isfinite(s)
         assert deviation(f, g) <= s
+
+
+@settings(max_examples=80, deadline=None)
+@given(sampled_pairs(max_dim=2, norms=(NormKind.euclidean,)), exponent_pairs(far=False),
+       st.floats(-12.0, -1.0))
+def test_young_bound_matches_the_reference_majorant(pair, pq, log_tol):
+    f, g = pair
+    p, q = pq
+    tail_tol = 10.0 ** log_tol
+    seqs = choose_sequences(p, q, f, g)
+    try:
+        s = young_bound_S(f, g, seqs, tail_tol=tail_tol)
+    except SeriesError:  # the documented raise, near the exponent boundary
+        assert (p - 1.0) * (q - 1.0) > 0.95
+        return
+    assert math.isfinite(s)
+    assert euclidean_deviation(f, g) <= s + 1e-12
+    want = _finite_or_none(lambda: ref.majorant_S(
+        f.values, g.values, p, q, ref.p_variation(f.values, p), ref.p_variation(g.values, q)))
+    if want is not None:
+        # S adds a certified remainder, so it is not below the summed series
+        assert want * (1.0 - 1e-12) <= s <= want * (1.0 + 1e-9) + tail_tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(sampled_pairs(max_dim=2, norms=(NormKind.euclidean,)), st.floats(-300.0, -9.0))
+def test_young_bound_where_its_terms_leave_the_range_of_3_to_the_k(pair, log_tol):
+    # at p = q = 1.99 the terms peak near 3^358 at k = 456, and a small tail_tol
+    # runs the certified sum past k = 646, where 3^k alone overflows
+    f, g = pair
+    try:
+        s = young_bound_S(f, g, choose_sequences(1.99, 1.99, f, g), tail_tol=10.0 ** log_tol)
+    except SeriesError:
+        return
+    assert math.isfinite(s)
+    assert euclidean_deviation(f, g) <= s + 1e-12
 
 
 def test_majorant_below_variation_product_bound(rng):
@@ -439,10 +518,36 @@ def test_constant_domain_errors():
 
 @pytest.mark.parametrize("tol", [1.0, 1.5, math.inf])
 def test_constant_tol_outside_unit_interval_rejected(tol):
-    # the series stop on a relative term test, so tol >= 1 stops them early
+    # tol is the documented relative accuracy of the constants, in (0, 1)
     for constant in (ly_constant, irregularity_constant):
         with pytest.raises(DomainError):
             constant(1.5, 1.5, tol=tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent_pairs(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example((1.9, 2.05), 1e-2)
+@example((1.1, 10.0), 1e-9)
+@example((1.0000001, 1e6), 1e-9)
+@example((2.0, 1.0001635926750816), 0.5)
+def test_constants_are_the_summed_series(pq, tol):
+    p, q = pq
+    for constant, reference in ((ly_constant, ref.c_pq), (irregularity_constant, ref.d_pq)):
+        try:
+            value = constant(p, q, tol)
+        except SeriesError:  # the documented raise: a constant past the float range
+            continue
+        assert 0.0 < value < math.inf
+        want = _finite_or_none(lambda: reference(p, q))
+        if want is not None:
+            assert want <= value <= want * (1.0 + 1e-12)
+
+
+def test_irregularity_constant_rejects_an_underflowed_series():
+    # q - 1 = 1.6e-4 puts S2 near 3^-1529: D would read 0.0 and divide by zero
+    with pytest.raises(SeriesError, match="float range"):
+        irregularity_constant(2.0, 1.0001635926750816)
+    assert ly_constant(2.0, 1.0001635926750816) > 0.0
 
 
 # -- the two inequalities -----------------------------------------------------

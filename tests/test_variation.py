@@ -123,6 +123,14 @@ def test_p1_variation_is_total_variation(rng):
         assert p_variation(path, 1.0) == pytest.approx(ttv(path, 0.0), rel=1e-12)
 
 
+def test_p_variation_past_the_float_range_raises():
+    # 2^2000 overflows a float: the sum must raise, not read inf
+    zig = SampledPath([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
+    with pytest.raises(DomainError, match="overflows a float"):
+        p_variation(zig, 2000.0)
+    assert p_variation(zig, 1000.0) == 2.0 * 2.0 ** 1000
+
+
 def test_p_variation_matches_brute(rng):
     for _ in range(40):
         path = random_path(rng, n=int(rng.integers(2, 9)), d=int(rng.choice([1, 3])),
